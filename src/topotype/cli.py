@@ -199,6 +199,8 @@ def _verify_cases(p: int, k: int, R: int, multiset_limit, step_limit):
 
 def cmd_verify(args) -> int:
     k = args.k
+    if not args.p or not args.R:
+        raise ValueError("verify needs at least one prime and one R (empty range?)")
     results = []
     failures = 0
     skipped = 0

@@ -14,8 +14,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exact import multichoose
 from .partitions import PartitionType
 
@@ -38,6 +36,22 @@ def _step_limit(step_limit):
     return DEFAULT_STEP_LIMIT
 
 
+def _check_shape(k: int, R: int) -> None:
+    if k not in (1, 2):
+        raise ValueError("only ranks 1 and 2 are supported")
+    if R < 3:
+        raise ValueError("need R >= 3")
+
+
+def _check_multisets(p: int, k: int, R: int, m: int, multiset_limit) -> None:
+    limit = DEFAULT_MULTISET_LIMIT if multiset_limit is None else int(multiset_limit)
+    if m > limit:
+        raise GuardExceeded(
+            f"(p={p}, k={k}, R={R}): about {m} column multisets exceeds the "
+            f"limit of {limit}"
+        )
+
+
 def group_order(p: int, k: int) -> int:
     """|GL_k(F_p)|."""
     order = 1
@@ -47,16 +61,19 @@ def group_order(p: int, k: int) -> int:
 
 
 def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -> None:
-    """Raise GuardExceeded when the enumeration estimate is out of budget."""
-    multiset_limit = DEFAULT_MULTISET_LIMIT if multiset_limit is None else int(multiset_limit)
+    """Raise GuardExceeded when the work of ``count_orbits`` is out of budget.
+
+    The estimate follows the algorithm: ``multichoose(R-1-k, p^k-1)``
+    normal-form prefixes, and for each multiset one sorted R-column image
+    per candidate basis, of which there are at most ``min(R(R-1), |GL_2|)``
+    for k = 2 and ``min(R, p-1)`` for k = 1.
+    """
+    _check_shape(k, R)
+    m = multichoose(R - 1 - k, p**k - 1)
+    _check_multisets(p, k, R, m, multiset_limit)
     step_limit = _step_limit(step_limit)
-    m = multichoose(R, p**k - 1)
-    if m > multiset_limit:
-        raise GuardExceeded(
-            f"(p={p}, k={k}, R={R}): about {m} column multisets exceeds the "
-            f"limit of {multiset_limit}"
-        )
-    steps = m * group_order(p, k)
+    bases = min(R * (R - 1), group_order(p, k)) if k == 2 else min(R, p - 1)
+    steps = m * R * bases
     if steps > step_limit:
         raise GuardExceeded(
             f"(p={p}, k={k}, R={R}): about {steps} canonicalization steps "
@@ -82,37 +99,41 @@ def gl_matrices(p: int, k: int) -> list:
     raise ValueError("only ranks 1 and 2 are supported")
 
 
-def _survivors(p: int, k: int, R: int):
-    """Index form of every generating column multiset.
+def _survivors(p: int, k: int, R: int, fixed: tuple = ()):
+    """Index form of every generating column multiset containing ``fixed``.
 
     Returns (vecs, array) where array rows are nondecreasing index tuples
-    into vecs.  Enumeration: choose the first R-1 columns as a multiset,
-    force the last column to the negated sum; keep it when the forced column
-    is nonzero, does not sort below the chosen prefix (each multiset appears
-    exactly once), and the full set has rank k.
+    into vecs.  Enumeration: take the columns ``fixed``, choose the next
+    R-1-len(fixed) columns as a multiset, force the last column to the
+    negated sum; keep it when the forced column is nonzero, does not sort
+    below the chosen prefix (each multiset appears exactly once), and the
+    full set has rank k.
     """
+    import numpy as np
+
     vecs = nonzero_vectors(p, k)
-    index = {v: i for i, v in enumerate(vecs)}
+    # Each column packed as base-B digits; B exceeds any coordinate sum, so
+    # one integer sum keeps every coordinate sum in its own digit.
+    B = p * R
+    packed = [v[0] * B + v[-1] if k == 2 else v[0] for v in vecs]
+    base = sum(packed[i] for i in fixed)
     rows = []
-    for prefix in itertools.combinations_with_replacement(range(len(vecs)), R - 1):
-        sums = [0] * k
-        for i in prefix:
-            v = vecs[i]
-            for c in range(k):
-                sums[c] += v[c]
-        forced = tuple((-s) % p for s in sums)
-        if not any(forced):
+    for prefix in itertools.combinations_with_replacement(range(len(vecs)), R - 1 - len(fixed)):
+        s = base + sum(map(packed.__getitem__, prefix))
+        if k == 2:
+            sx, sy = divmod(s, B)
+            fi = -sx % p * p + -sy % p - 1  # index of (-sx, -sy) mod p
+        else:
+            fi = -s % p - 1
+        if fi < 0 or (prefix and fi < prefix[-1]):
             continue
-        fi = index[forced]
-        if fi < prefix[-1]:
-            continue
-        cols = prefix + (fi,)
+        cols = fixed + prefix + (fi,)
         if k == 2:
             if not _has_rank2(cols, vecs, p):
                 continue
         rows.append(cols)
     arr = np.array(rows, dtype=np.int64) if rows else np.zeros((0, R), dtype=np.int64)
-    return vecs, arr
+    return vecs, np.sort(arr, axis=1)
 
 
 def _has_rank2(cols, vecs, p) -> bool:
@@ -124,13 +145,70 @@ def _has_rank2(cols, vecs, p) -> bool:
     return False
 
 
-def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None, step_limit=None):
+def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
     """Yield every generating column multiset (zero row sums, rank k, no zero
     columns), each exactly once, columns sorted ascending."""
-    check_feasible(p, k, R, multiset_limit, step_limit)
+    _check_shape(k, R)
+    _check_multisets(p, k, R, multichoose(R, p**k - 1), multiset_limit)
     vecs, arr = _survivors(p, k, R)
     for row in arr:
         yield tuple(vecs[i] for i in row)
+
+
+def _orbit_minima(arr, p: int, k: int):
+    """Encoded orbit minimum of every row of ``arr`` under GL_k(F_p).
+
+    Rows are nondecreasing index tuples into ``nonzero_vectors(p, k)`` of
+    rank k; a row's code is its sorted image read as base-|vecs| digits, so
+    the smallest code is the lexicographically smallest sorted image.  That
+    image contains the basis e_1..e_k: e_k is the smallest nonzero vector,
+    and a map fixing the e_k line pointwise sends any column off that line
+    to e_1.  So the minimizing g sends some k columns of the row to the
+    basis, and g = [c_i c_j]^{-1} over ordered pairs of independent columns
+    (g = c_i^{-1} for k = 1) reaches it.  Columns repeating an earlier
+    value give the same g and are skipped.
+    """
+    import numpy as np
+
+    n, R = arr.shape
+    V = p**k - 1
+    cols = np.array(nonzero_vectors(p, k), dtype=np.int64)[arr]  # (n, R, k)
+    inverse = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    first = np.ones((n, R), dtype=bool)
+    first[:, 1:] = arr[:, 1:] != arr[:, :-1]
+    powers = V ** np.arange(R - 1, -1, -1, dtype=np.int64)
+    best = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    x = cols[..., 0]
+    y = cols[..., k - 1]
+    for basis in itertools.permutations(range(R), k):
+        i, j = basis[0], basis[-1]
+        if k == 1:
+            det = x[:, i]
+        else:
+            det = (x[:, i] * y[:, j] - x[:, j] * y[:, i]) % p
+        rows = np.flatnonzero(first[:, i] & first[:, j] & (det != 0))
+        if not rows.size:
+            continue
+        d = inverse[det[rows]][:, None]
+        xr, yr = x[rows], y[rows]
+        if k == 1:
+            image = d * xr % p
+        else:  # g = d * [[yj, -xj], [-yi, xi]]; index of (u, w) is u*p + w - 1
+            xi, yi = x[rows, i, None], y[rows, i, None]
+            xj, yj = x[rows, j, None], y[rows, j, None]
+            image = d * (yj * xr - xj * yr) % p * p + d * (xi * yr - yi * xr) % p
+        codes = np.sort(image - 1, axis=1) @ powers
+        best[rows] = np.minimum(best[rows], codes)
+    return best
+
+
+def _decode(code: int, vecs: list, R: int) -> tuple:
+    V = len(vecs)
+    digits = []
+    for _ in range(R):
+        digits.append(code % V)
+        code //= V
+    return tuple(vecs[i] for i in reversed(digits))
 
 
 def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
@@ -165,38 +243,25 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
     """Orbits of GL_k(F_p) acting columnwise on generating column multisets.
 
     Canonical representative of an orbit: the minimum, over all group
-    elements, of the sorted image multiset (encoded base |vecs| for speed).
+    elements, of the sorted image multiset.  It contains the basis, so only
+    multisets containing the basis are enumerated, and each is
+    canonicalized by the maps that send some of its columns to the basis
+    (see ``_orbit_minima``).
     """
+    import numpy as np
+
     check_feasible(p, k, R, multiset_limit, step_limit)
     V = p**k - 1
     if V**R > 2**62:
         raise GuardExceeded(f"encoding width |V|^R = {V**R} exceeds 64-bit range")
-    vecs, arr = _survivors(p, k, R)
+    basis = tuple(p ** (k - 1 - c) - 1 for c in range(k))  # indices of e_1..e_k
+    vecs, arr = _survivors(p, k, R, basis)
     if arr.shape[0] == 0:
         return OrbitTable(p, k, R, {}, 0, ())
-    index = {v: i for i, v in enumerate(vecs)}
-    mats = gl_matrices(p, k)
-    perms = np.zeros((len(mats), V), dtype=np.int64)
-    for gi, m in enumerate(mats):
-        for vi, v in enumerate(vecs):
-            w = tuple(sum(m[r][c] * v[c] for c in range(k)) % p for r in range(k))
-            perms[gi, vi] = index[w]
-    powers = np.array([V**e for e in range(R - 1, -1, -1)], dtype=np.int64)
-    best = np.sort(arr, axis=1) @ powers
-    for gi in range(len(mats)):
-        image = np.sort(perms[gi][arr], axis=1)
-        np.minimum(best, image @ powers, out=best)
-    reps_encoded = np.unique(best)
     by_partition: dict = {}
     reps = []
-    for code in reps_encoded.tolist():
-        digits = []
-        x = int(code)
-        for _ in range(R):
-            digits.append(x % V)
-            x //= V
-        digits.reverse()
-        cols = tuple(vecs[i] for i in digits)
+    for code in np.unique(_orbit_minima(arr, p, k)).tolist():
+        cols = _decode(code, vecs, R)
         reps.append(cols)
         part = classify_partition(cols, p, k)
         by_partition[part] = by_partition.get(part, 0) + 1
@@ -204,18 +269,16 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
 
 
 def canonical_form(columns, p: int, k: int):
-    """Canonical representative of one multiset under the full group."""
-    mats = gl_matrices(p, k)
-    best = None
-    for m in mats:
-        image = sorted(
-            tuple(sum(m[r][c] * v[c] for c in range(k)) % p for r in range(k))
-            for v in columns
-        )
-        key = tuple(image)
-        if best is None or key < best:
-            best = key
-    return best
+    """Canonical representative of one rank-k multiset under the full group."""
+    import numpy as np
+
+    vecs = nonzero_vectors(p, k)
+    index = {v: i for i, v in enumerate(vecs)}
+    row = np.array([sorted(index[tuple(c % p for c in v)] for v in columns)], dtype=np.int64)
+    code = int(_orbit_minima(row, p, k)[0])
+    if code == np.iinfo(np.int64).max:
+        raise ValueError(f"columns do not span F_{p}^{k}")
+    return _decode(code, vecs, row.shape[1])
 
 
 def rank1_orbit_count(p: int, R: int, multiset_limit=None, step_limit=None) -> int:
@@ -233,6 +296,8 @@ def distribution_bruteforce(parts, weights, p: int, zero_first_column: bool = Fa
     and buckets by residue.  Kept deliberately independent of the dynamic-
     programming route.
     """
+    import numpy as np
+
     from .residues import Distribution  # local import: keep module layers separate
 
     parts = tuple(parts)

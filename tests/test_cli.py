@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import topotype
 from topotype.cli import main
 
 
@@ -157,14 +162,41 @@ def test_verify_json_roundtrip(capsys):
 
 
 def test_verify_skips_on_guard(capsys):
-    code, out, _ = run(capsys, "verify", "--p", "13", "--k", "2", "--R", "6")
+    code, out, _ = run(capsys, "verify", "--p", "13", "--k", "2", "--R", "8")
     assert code == 0
-    assert "SKIPPED p=13 R=6" in out
+    assert "SKIPPED p=13 R=8" in out
     assert "skipped: 1" in out
     code, out, _ = run(capsys, "verify", "--p", "5", "--k", "2", "--R", "4",
                        "--guard-steps", "10")
     assert code == 0
     assert "SKIPPED" in out
+
+
+def test_verify_reaches_p11(capsys):
+    _, out, _ = run(capsys, "verify", "--p", "11", "--k", "2", "--R", "3..5")
+    assert "SKIPPED" not in out
+    assert "skipped: 0" in out
+    assert "PASS p=11 R=3 total: oracle=1 formula=1" in out
+
+
+def test_verify_bad_R_exits_with_reason(capsys):
+    for k in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--p", "5", "--k", k, "--R", "2")
+        assert code == 2
+        assert "need R >= 3" in err
+        assert out == ""
+    code, out, err = run(capsys, "verify", "--p", "5", "--k", "2", "--R", "6..3")
+    assert code == 2
+    assert "empty range" in err
+    assert out == ""
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(topotype.__file__).resolve().parents[1])
+    probe = "import sys, topotype.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_table_plain(capsys):

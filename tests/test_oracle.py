@@ -1,12 +1,16 @@
 import io
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topotype.counting import card_A_base3, count_types_rank1
 from topotype.oracle import (
     GuardExceeded,
     canonical_form,
+    check_feasible,
     classify_partition,
     count_orbits,
     distribution_bruteforce,
@@ -155,6 +159,71 @@ def test_canonical_form_constant_on_orbits():
     assert not maps_to(canons[0], canons[1])
 
 
+def _full_group_orbits(p, k, R):
+    """Reference orbit table: group every generating multiset by its minimum
+    sorted image over all of GL_k(F_p), one group element at a time."""
+    vecs = nonzero_vectors(p, k)
+    index = {v: i for i, v in enumerate(vecs)}
+    sets = np.array([[index[v] for v in cols] for cols in enumerate_generating_sets(p, k, R)])
+    powers = len(vecs) ** np.arange(R - 1, -1, -1)
+    best = None
+    for m in gl_matrices(p, k):
+        perm = np.array([
+            index[tuple(sum(m[r][c] * v[c] for c in range(k)) % p for r in range(k))]
+            for v in vecs
+        ])
+        codes = np.sort(perm[sets], axis=1) @ powers
+        best = codes if best is None else np.minimum(best, codes)
+    reps = []
+    for code in np.unique(best).tolist():
+        digits = [code // len(vecs) ** e % len(vecs) for e in range(R - 1, -1, -1)]
+        reps.append(tuple(vecs[i] for i in digits))
+    by_partition = {}
+    for cols in reps:
+        part = classify_partition(cols, p, k)
+        by_partition[part] = by_partition.get(part, 0) + 1
+    return by_partition, len(reps), tuple(reps)
+
+
+FULL_GROUP_CASES = (
+    [(2, 2, R) for R in range(3, 9)]
+    + [(3, 2, R) for R in range(3, 8)]
+    + [(5, 2, R) for R in range(3, 6)]
+    + [(7, 2, R) for R in range(3, 5)]
+    + [(p, 1, R) for p in (3, 5, 7) for R in range(3, 9)]
+)
+
+
+@pytest.mark.parametrize("p,k,R", FULL_GROUP_CASES)
+def test_count_orbits_matches_full_group_reference(p, k, R):
+    table = count_orbits(p, k, R)
+    assert (table.by_partition, table.total, table.representatives) == _full_group_orbits(p, k, R)
+
+
+GL2 = {p: gl_matrices(p, 2) for p in (3, 5, 7)}
+
+
+def _act(m, cols, p):
+    return [tuple((m[r][0] * x + m[r][1] * y) % p for r in range(2)) for x, y in cols]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_canonical_form_is_the_full_group_minimum(data):
+    p = data.draw(st.sampled_from(sorted(GL2)))
+    R = data.draw(st.integers(3, 8))
+    vector = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(any)
+    cols = data.draw(st.lists(vector, min_size=R - 1, max_size=R - 1))
+    last = tuple(-sum(v[c] for v in cols) % p for c in range(2))
+    cols.append(last)
+    assume(any(last))
+    assume(any((cols[0][0] * v[1] - cols[0][1] * v[0]) % p for v in cols))
+    g = data.draw(st.sampled_from(GL2[p]))
+    canon = canonical_form(cols, p, 2)
+    assert canonical_form(_act(g, cols, p), p, 2) == canon
+    assert canon == min(tuple(sorted(_act(m, cols, p))) for m in GL2[p])
+
+
 def test_rank1_orbit_counts_match_formula():
     assert rank1_orbit_count(3, 4) == 1
     assert rank1_orbit_count(2, 6) == 1
@@ -165,9 +234,16 @@ def test_rank1_orbit_counts_match_formula():
 
 def test_guard_multiset_limit():
     with pytest.raises(GuardExceeded, match="multisets"):
-        count_orbits(13, 2, 6)
+        count_orbits(13, 2, 8)
     with pytest.raises(GuardExceeded, match="multisets"):
-        count_orbits(5, 2, 4, multiset_limit=100)
+        count_orbits(5, 2, 4, multiset_limit=10)
+
+
+def test_bad_R_is_named():
+    for call in (check_feasible, count_orbits):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="need R >= 3"):
+                call(5, k, 2)
 
 
 def test_guard_step_limit():
