@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="fit and render a table section")
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--primes", type=str, default=None,
-                    help="comma-separated sample primes > 3")
+                    help="comma-separated sample primes > 3; primes at or below "
+                         "a row's largest part are displayed but not fitted")
     add_format(sp)
     sp.set_defaults(func=cmd_table)
 

@@ -1,9 +1,11 @@
 """Exact polynomial reconstruction of the type-count tables.
 
-Counts T(p) for a fixed rank-2 partition are polynomial in p on residue
-classes of p (the Burnside correction depends on gcd with p-1).  This module
-samples the counting formulas at primes, interpolates exactly per class,
-and verifies every interpolant on held-out primes.
+For a fixed rank-2 partition and every prime p above its largest part (and
+at least n-1), T(p) is a polynomial in p on each residue class of p modulo
+2*gcd(parts): |A| and the marking multiplier are polynomials there, and the
+Burnside correction only asks which divisors of gcd(parts) divide p-1.  This
+module samples the counting formulas at such primes, interpolates exactly
+per class, and verifies every interpolant on held-out primes.
 """
 
 from __future__ import annotations
@@ -12,27 +14,44 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counting import count_types_rank2
 from .exact import RationalPolynomial, interpolate, is_prime
-from .partitions import PartitionType, _partitions_into
+from .partitions import PartitionType, admissible_partitions
 
 
 class PolynomialFitError(ValueError):
     """Fit could not be performed or failed verification."""
 
 
+def fit_floor(partition: PartitionType) -> int:
+    """Least p at which a fit holds: above the largest part (so every part
+    P has P mod p = P and ``part_wz``/``block_wz`` take one fixed branch), at
+    least n-1 (the n parts fit on the p+1 lines) and at least 3."""
+    return max(3, max(partition.parts) + 1, partition.n - 1)
+
+
 @dataclass(frozen=True)
 class StratifiedPolynomial:
-    """One exact polynomial per residue class of p mod ``modulus``."""
+    """One exact polynomial per residue class of p mod ``modulus``, valid for
+    p >= ``min_prime``."""
 
     partition: PartitionType
     modulus: int
     branches: dict  # residue class -> RationalPolynomial
+    min_prime: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "min_prime", fit_floor(self.partition))
 
     def branch_for(self, p: int) -> RationalPolynomial:
+        if p < self.min_prime:
+            raise ValueError(
+                f"{self.partition}: the fit holds only for p >= min_prime = "
+                f"{self.min_prime} (got p = {p})"
+            )
         return self.branches[p % self.modulus]
 
     def __call__(self, p: int) -> Fraction:
@@ -46,10 +65,13 @@ def default_degree_bound(partition: PartitionType) -> int:
 
 
 def default_modulus(partition: PartitionType) -> int:
-    """Residue classes fine enough for any Burnside branch: the correction
-    is governed by divisors of gcd(parts, p-1), so stratify p modulo
-    2 * lcm(1..max part)."""
-    return 2 * math.lcm(*range(1, max(partition.parts) + 1))
+    """Residue classes fine enough for any Burnside branch.  Above the fit
+    floor only the correction branches: scalars of order d' contribute
+    exactly when d' divides gcd(parts) and p-1, and p mod gcd(parts) decides
+    that for every such d'.  So stratify p modulo 2 * gcd(parts); for odd p
+    the factor 2 adds no branch beyond those of p mod gcd(parts), and
+    identical branches collapse when displayed."""
+    return 2 * math.gcd(*partition.parts)
 
 
 def _unit_classes(modulus: int) -> list:
@@ -58,14 +80,15 @@ def _unit_classes(modulus: int) -> list:
     return [c for c in range(modulus) if math.gcd(c, modulus) == 1]
 
 
-def _primes_in_class(c: int, modulus: int, count: int, minimum: int = 5, floor: int = 0):
-    """First ``count`` primes > max(3, floor-1) congruent to c mod modulus."""
+def _primes_in_class(c: int, modulus: int, count: int, floor: int):
+    """First ``count`` primes >= max(5, floor) congruent to c mod modulus."""
     out = []
-    q = max(minimum, floor)
+    q = max(5, floor)
+    q += (c - q) % modulus
     while len(out) < count:
-        if is_prime(q) and q > 3 and (modulus == 1 or q % modulus == c):
+        if is_prime(q):
             out.append(q)
-        q += 1
+        q += modulus
     return out
 
 
@@ -74,36 +97,41 @@ def fit_partition_polynomial(partition, degree_bound=None, modulus=None, primes=
 
     Uses degree_bound+1 sample primes per class for the interpolation and
     verifies the result on every remaining prime of that class (at least one
-    held-out prime is always present).  When ``primes`` is None a sufficient
-    pool is generated automatically; an explicit but insufficient list
-    raises an error naming the class.
+    held-out prime is always present).  Every sample prime must be at least
+    ``fit_floor(partition)``.  When ``primes`` is None a sufficient pool is
+    generated automatically; an explicit list that leaves a unit class
+    short raises an error naming the class.
     """
     part = partition if isinstance(partition, PartitionType) else PartitionType(tuple(partition))
     db = default_degree_bound(part) if degree_bound is None else int(degree_bound)
     mod = default_modulus(part) if modulus is None else int(modulus)
+    floor = fit_floor(part)
     classes = _unit_classes(mod)
     need = db + 2  # fit points + at least one held-out
-    by_class: dict = {}
     if primes is None:
-        for c in classes:
-            by_class[c] = _primes_in_class(c, mod, need, floor=part.n - 1)
+        by_class = {c: _primes_in_class(c, mod, need, floor) for c in classes}
     else:
-        primes = sorted(set(int(q) for q in primes))
-        for q in primes:
+        by_class = {c: [] for c in classes}
+        for q in sorted(set(int(q) for q in primes)):
             if not is_prime(q):
                 raise PolynomialFitError(f"{q} is not prime")
             if q <= 3:
                 raise PolynomialFitError(f"sample primes must exceed 3 (got {q})")
-            by_class.setdefault(q % mod, []).append(q)
-        for c, qs in by_class.items():
-            if len(qs) < need:
+            if q < floor:
                 raise PolynomialFitError(
-                    f"class {c} mod {mod}: {len(qs)} primes supplied, need "
-                    f"{need} (degree bound {db} plus a held-out prime)"
+                    f"sample primes for {part} must be at least its fit floor "
+                    f"{floor}, above the largest part and >= n-1 (got {q})"
+                )
+            by_class.setdefault(q % mod, []).append(q)
+        for c in classes:
+            if len(by_class[c]) < need:
+                raise PolynomialFitError(
+                    f"class {c} mod {mod}: {len(by_class[c])} primes supplied, "
+                    f"need {need} (degree bound {db} plus a held-out prime)"
                 )
     branches = {}
-    for c, qs in sorted(by_class.items()):
-        points = [(q, count_types_rank2(part, q).T) for q in qs]
+    for c in classes:
+        points = [(q, count_types_rank2(part, q).T) for q in by_class[c]]
         fit_pts, holdout = points[: db + 1], points[db + 1 :]
         poly = interpolate(fit_pts)
         for q, value in holdout:
@@ -118,18 +146,10 @@ def fit_partition_polynomial(partition, degree_bound=None, modulus=None, primes=
 
 
 def table_rows(R: int) -> list:
-    """Rank-2 partition rows of the R-section of the table (admissibility
-    for all sufficiently large p: 2 <= n, parts >= 2 when n = 2, max part
-    <= R - 2), in (part count, ascending lex) order."""
-    if R < 3:
-        raise ValueError("need R >= 3")
-    out = []
-    for n in range(2, R + 1):
-        for parts in _partitions_into(R, n, R - 2):
-            if n == 2 and parts[-1] < 2:
-                continue
-            out.append(PartitionType(parts))
-    return out
+    """Rank-2 partition rows of the R-section of the table: the partitions
+    admissible for every p >= R - 1 (there n <= p + 1 never binds), in
+    (part count, ascending lex) order."""
+    return admissible_partitions(R - 1, 2, R)
 
 
 @dataclass(frozen=True)
@@ -141,23 +161,22 @@ class TableRow:
 
 def build_table(R: int, primes=None) -> list:
     """Fit every row of the R-section.  ``primes`` controls which sample
-    values are displayed; the fit pool is extended automatically whenever
-    the supplied primes cannot pin down a row's polynomial."""
+    values are displayed (every supplied prime with p >= n-1); the fit uses
+    those at or above the row's fit floor, and the pool is extended
+    automatically whenever they cannot pin down the row's polynomial."""
     rows = []
     for part in table_rows(R):
-        usable = None
+        fit, shown = None, []
         if primes is not None:
-            usable = [q for q in primes if q >= part.n - 1]
-        try:
-            fit = fit_partition_polynomial(part, primes=usable)
-        except PolynomialFitError:
-            if usable is None:
-                raise
+            shown = sorted(q for q in primes if q >= part.n - 1)
+            floor = fit_floor(part)
+            try:
+                fit = fit_partition_polynomial(part, primes=[q for q in shown if q >= floor])
+            except PolynomialFitError:
+                pass  # the supplied primes cannot pin the row down
+        if fit is None:
             fit = fit_partition_polynomial(part)  # auto pool
-        if usable:
-            sample_ps = sorted(usable)
-        else:
-            sample_ps = _primes_in_class(0, 1, 4, floor=part.n - 1)
+        sample_ps = shown or _primes_in_class(0, 1, 4, part.n - 1)
         samples = tuple((q, count_types_rank2(part, q).T) for q in sample_ps)
         rows.append(TableRow(part, fit, samples))
     return rows

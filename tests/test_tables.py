@@ -1,21 +1,32 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topotype.counting import count_types_rank2
+from topotype.exact import is_prime
 from topotype.partitions import PartitionType
 from topotype.tables import (
     PolynomialFitError,
     build_table,
     default_degree_bound,
     default_modulus,
+    fit_floor,
     fit_partition_polynomial,
     render_table,
     table_rows,
 )
+
+
+@lru_cache(maxsize=None)
+def _fit(part):
+    return fit_partition_polynomial(part)
 
 
 def test_default_degree_bound():
@@ -28,9 +39,38 @@ def test_default_degree_bound():
 
 def test_default_modulus():
     assert default_modulus(PartitionType((2, 2))) == 4
-    assert default_modulus(PartitionType((3, 3))) == 12
+    assert default_modulus(PartitionType((3, 3))) == 6
     assert default_modulus(PartitionType((1, 1, 1, 1))) == 2
-    assert default_modulus(PartitionType((4, 2))) == 24
+    assert default_modulus(PartitionType((4, 2))) == 4
+
+
+def test_fit_floor():
+    assert fit_floor(PartitionType((1, 1, 1))) == 3
+    assert fit_floor(PartitionType((5, 2))) == 6
+    assert fit_floor(PartitionType((1,) * 9)) == 8
+    assert fit_floor(PartitionType((2, 1, 1, 1, 1))) == 4
+
+
+def test_fit_raises_below_min_prime():
+    part = PartitionType((5, 2))
+    fit = fit_partition_polynomial(part)
+    assert fit.min_prime == 6
+    with pytest.raises(ValueError, match="min_prime = 6"):
+        fit(5)
+    with pytest.raises(ValueError, match="min_prime = 6"):
+        fit.branch_for(5)
+    assert fit(7) == count_types_rank2(part, 7).T
+
+
+def test_fit_rejects_primes_below_floor():
+    with pytest.raises(PolynomialFitError, match="fit floor 6"):
+        fit_partition_polynomial(PartitionType((5, 2)), primes=[5, 7, 11, 13, 17, 19, 23])
+
+
+def test_fit_explicit_primes_must_cover_every_class():
+    # {2,2} branches mod 4; primes only in class 3 leave class 1 empty
+    with pytest.raises(PolynomialFitError, match="class 1 mod 4: 0 primes"):
+        fit_partition_polynomial(PartitionType((2, 2)), primes=[7, 11, 19])
 
 
 def test_fit_linear_row():
@@ -118,6 +158,48 @@ def test_build_table_extends_fit_pool_when_needed():
     assert last.partition == PartitionType((1,) * 6)
     assert max(poly.degree for poly in last.fit.branches.values()) == 6
     assert [q for q, _ in last.samples] == [5, 7, 11, 13, 17, 19]
+
+
+def test_build_table_fits_only_above_floor():
+    # 5 and 7 lie at or below the largest part of some rows: they are shown
+    # as samples wherever n <= p + 1 but never used to fit those rows
+    primes = [5, 7, 11, 13, 17, 19]
+    rows = build_table(9, primes=primes)
+    auto = build_table(9)
+    assert [row.partition for row in rows] == [row.partition for row in auto]
+    for row, ref in zip(rows, auto):
+        assert [q for q, _ in row.samples] == [q for q in primes if q >= row.partition.n - 1]
+        assert row.fit == ref.fit
+
+
+def test_build_table_without_usable_primes_still_fits():
+    # no supplied prime reaches the fit floor of {1^7}: auto samples, full fit
+    last = build_table(7, primes=[5])[-1]
+    assert last.partition == PartitionType((1,) * 7)
+    assert sorted(last.fit.branches) == [1]
+    assert [q for q, _ in last.samples] == [7, 11, 13, 17]
+
+
+@pytest.mark.parametrize("R", range(3, 11))
+def test_fits_equal_closed_form_above_floor(R):
+    for part in table_rows(R):
+        fit = _fit(part)
+        assert fit.modulus == 2 * math.gcd(*part.parts)
+        for q in range(fit.min_prime, 301):
+            if is_prime(q):
+                assert fit(q) == count_types_rank2(part, q).T, (part, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fits_reproduce_counts_at_random_large_primes(data):
+    R = data.draw(st.integers(3, 10))
+    part = data.draw(st.sampled_from(table_rows(R)))
+    fit = _fit(part)
+    q = data.draw(st.integers(fit.min_prime, 10**4))
+    while not is_prime(q):
+        q += 1
+    assert fit(q) == count_types_rank2(part, q).T
 
 
 def test_render_table_plain():
