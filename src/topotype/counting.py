@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import divisors_greater_than_one, euler_phi, exact_div, is_prime, multichoose
+from .exact import binomial, divisors_greater_than_one, euler_phi, exact_div, is_prime, multichoose
 from .partitions import PartitionType, admissible_partitions, marking_count
-from .residues import block_wz, part_wz
+from .residues import _check_odd_prime, _part_wz, _unit_sign, _wz, part_wz
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,13 @@ def card_A_base3(P1: int, P2: int, P3: int, p: int) -> int:
     return w1.W * w2.W * w3.W + (p - 1) * w1.Z * w2.Z * w3.Z
 
 
+def _check_part_count(n: int, p: int) -> None:
+    if n < 2:
+        raise ValueError("need at least two parts")
+    if n > p + 1:
+        raise ValueError(f"{n} parts but only {p + 1} cyclic subgroups (p={p})")
+
+
 def card_A(partition, p: int) -> int:
     """|A| for any number of parts, by the pairwise recursion.
 
@@ -72,36 +79,48 @@ def card_A(partition, p: int) -> int:
     part sequence — the result is independent of the order, which the test
     suite verifies exhaustively for small R.
 
-    The recursion consumes two parts per step: with r the count for the
-    suffix processed so far, (W', Z') the block value of that suffix, and
-    s01 = W' - r, s11 = (p-1)Z' - W' + r, the next value is
-    [W_a Z_a] [[r, s01], [s01, s11]] [W_b Z_b]^T.
+    The recursion consumes two parts per step from the end: with r the count
+    for the suffix processed so far, (W', Z') the block value of that suffix,
+    and s01 = W' - r, s11 = (p-1)Z' - W' + r, the next value is
+    [W_a Z_a] [[r, s01], [s01, s11]] [W_b Z_b]^T.  The suffix starts empty
+    (r = 1) for an even number of parts and as the last part alone (r = its
+    W) for an odd number, which reproduces ``card_A_base2`` and
+    ``card_A_base3`` as the first step.
+
+    One linear pass: each part's b_P = binomial(P+p-2, P) and sign (+1 for
+    P = 0, -1 for P = 1, else 0 mod p) are computed once, and the suffix's
+    product B of the b_P and product of the signs are carried forward, so
+    (W', Z') = (z + sign, z) with z = (B - sign)/p, as ``block_wz`` gives.
     """
     parts = _as_parts(partition)
-    n = len(parts)
-    if n < 2:
-        raise ValueError("need at least two parts")
-    if n > p + 1:
-        raise ValueError(f"{n} parts but only {p + 1} cyclic subgroups (p={p})")
-    if n == 2:
-        return card_A_base2(parts[0], parts[1], p)
-    if n == 3:
-        return card_A_base3(parts[0], parts[1], parts[2], p)
-    if n % 2 == 0:
-        r = card_A_base2(parts[-2], parts[-1], p)
-        i = n - 4
+    _check_part_count(len(parts), p)
+    if min(parts) < 0:
+        raise ValueError("part must be nonnegative")
+    _check_odd_prime(p)
+    return _card_A(parts, p)
+
+
+def _card_A(parts: tuple, p: int) -> int:
+    """``card_A`` for checked parts and an odd prime p."""
+    b = [binomial(P + p - 2, P) for P in parts]
+    signs = [_unit_sign(P, p) for P in parts]
+    wz = [_wz(bP, sP, p) for bP, sP in zip(b, signs)]
+    i = len(parts) - 2
+    if len(parts) % 2:
+        r, B, sign = wz[-1][0], b[-1], signs[-1]
+        i -= 1
     else:
-        r = card_A_base3(parts[-3], parts[-2], parts[-1], p)
-        i = n - 5
+        r, B, sign = 1, 1, 1
     while i >= 0:
-        suffix = parts[i + 2 :]
-        blk = block_wz(suffix, p)
-        s01 = blk.W - r
-        s11 = (p - 1) * blk.Z - blk.W + r
+        W, Z = _wz(B, sign, p)
+        s01 = W - r
+        s11 = (p - 1) * Z - W + r
         if s01 < 0 or s11 < 0:
             raise ArithmeticError("negative recursion state; invariant broken")
-        wa, wb = part_wz(parts[i], p), part_wz(parts[i + 1], p)
-        r = wa.W * (r * wb.W + s01 * wb.Z) + wa.Z * (s01 * wb.W + s11 * wb.Z)
+        (wa, za), (wb, zb) = wz[i], wz[i + 1]
+        r = wa * (r * wb + s01 * zb) + za * (s01 * wb + s11 * zb)
+        B *= b[i] * b[i + 1]
+        sign *= signs[i] * signs[i + 1]
         i -= 2
     return r
 
@@ -127,10 +146,7 @@ def card_A_unitary(n: int, p: int) -> int:
     so far, with closed forms Z' = ((p-1)^{2u} - 1)/p and
     Z'' = ((p-1)^{2u+1} + 1)/p.
     """
-    if n < 2:
-        raise ValueError("need at least two parts")
-    if n > p + 1:
-        raise ValueError(f"{n} parts but only {p + 1} cyclic subgroups (p={p})")
+    _check_part_count(n, p)
     if n == 2:
         return 0
     if n == 3:
@@ -170,10 +186,20 @@ def count_types_rank2(partition, p: int) -> CountReport:
     T = binomial(p-2, n-3) * (|A| + corrections) / (p-1): Burnside over the
     scalar group for one marking, times the number of markings.
     """
+    _check_rank2_prime(p)
+    part = partition if isinstance(partition, PartitionType) else PartitionType(_as_parts(partition))
+    return _count_types_rank2(part, p)
+
+
+def _check_rank2_prime(p: int) -> None:
     if p < 3 or not is_prime(p):
         raise ValueError(f"p = {p}: need an odd prime")
-    part = partition if isinstance(partition, PartitionType) else PartitionType(_as_parts(partition))
-    a = card_A(part, p)
+
+
+def _count_types_rank2(part: PartitionType, p: int) -> CountReport:
+    """``count_types_rank2`` for an odd prime p the caller has already checked."""
+    _check_part_count(part.n, p)
+    a = _card_A(part.parts, p)
     terms = _burnside_terms(part.parts, p)
     marked_classes = exact_div(a + sum(c for _, c in terms), p - 1)
     mark = marking_count(p, part.n)
@@ -193,7 +219,7 @@ def count_types_rank1(R: int, p: int) -> CountReport:
     if p == 2:
         t = 1 if R % 2 == 0 else 0
         return CountReport(part, p, t, (), 1, t)
-    w = part_wz(R, p).W
+    w = _part_wz(R, p).W
     terms = _burnside_terms((R,), p)
     t = exact_div(w + sum(c for _, c in terms), p - 1)
     return CountReport(part, p, w, terms, 1, t)
@@ -236,7 +262,8 @@ def total_types(p: int, k: int, R: int) -> TotalReport:
             for part in admissible_partitions(2, 2, R)
         )
     else:
+        _check_rank2_prime(p)
         reports = tuple(
-            count_types_rank2(part, p) for part in admissible_partitions(p, 2, R)
+            _count_types_rank2(part, p) for part in admissible_partitions(p, 2, R)
         )
     return TotalReport(p, k, R, reports, sum(r.T for r in reports))

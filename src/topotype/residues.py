@@ -43,6 +43,20 @@ def _check_odd_prime(p: int) -> None:
         raise ValueError(f"p = {p}: this machinery requires an odd prime")
 
 
+def _unit_sign(P: int, p: int) -> int:
+    """b_P mod p when that residue is +1 or -1 (P congruent to 0 or 1 mod
+    p), else 0: the rows of such a part equidistribute over the p classes."""
+    r = P % p
+    return 1 if r == 0 else -1 if r == 1 else 0
+
+
+def _wz(B: int, sign: int, p: int) -> tuple:
+    """(W, Z) of B rows whose zero class is off the average B/p by ``sign``
+    times (p-1)/p: W = Z + sign, W + (p-1) Z = B."""
+    z = exact_div(B - sign, p)
+    return z + sign, z
+
+
 def row_counts(P: int, p: int) -> RowCounts:
     """e_P = binomial(P+p-1, P) rows; b_P = binomial(P+p-2, P) with column 0
     forced to zero."""
@@ -57,19 +71,14 @@ def part_wz(P: int, p: int) -> PartWZ:
     empty row only: (1, 0).
     """
     _check_odd_prime(p)
+    return _part_wz(P, p)
+
+
+def _part_wz(P: int, p: int) -> PartWZ:
+    """``part_wz`` for an odd prime p the caller has already checked."""
     if P < 0:
         raise ValueError("part must be nonnegative")
-    if P == 0:
-        return PartWZ(1, 0)
-    b = binomial(P + p - 2, P)
-    if P % p == 0:
-        z = exact_div(b - 1, p)
-        return PartWZ(z + 1, z)
-    if P % p == 1:
-        z = exact_div(b + 1, p)
-        return PartWZ(z - 1, z)
-    w = exact_div(b, p)
-    return PartWZ(w, w)
+    return PartWZ(*_wz(binomial(P + p - 2, P), _unit_sign(P, p), p))
 
 
 def block_wz(parts, p: int) -> PartWZ:
@@ -84,16 +93,11 @@ def block_wz(parts, p: int) -> PartWZ:
     parts = tuple(parts)
     if not parts:
         raise ValueError("block needs at least one part")
-    B = 1
+    B, sign = 1, 1
     for P in parts:
         B *= binomial(P + p - 2, P)
-    if any(P % p not in (0, 1) for P in parts):
-        w = exact_div(B, p)
-        return PartWZ(w, w)
-    t = sum(1 for P in parts if P % p == 1)
-    sign = -1 if t % 2 else 1
-    z = exact_div(B - sign, p)
-    return PartWZ(z + sign, z)
+        sign *= _unit_sign(P, p)
+    return PartWZ(*_wz(B, sign, p))
 
 
 def full_distribution(parts, weights, p: int, zero_first_column: bool = False) -> Distribution:

@@ -1,7 +1,11 @@
 import itertools
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from topotype import exact, residues
 from topotype.counting import (
     card_A,
     card_A_base2,
@@ -15,6 +19,7 @@ from topotype.counting import (
     total_types,
 )
 from topotype.partitions import PartitionType, admissible_partitions
+from topotype.residues import block_wz, part_wz
 
 
 def test_card_A_base2():
@@ -182,3 +187,124 @@ def test_total_types_breakdown():
     assert total_types(3, 1, 4).total == 1
     for R in range(3, 13):
         assert total_types(2, 2, R).total == count_types_klein(R)
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace ``fn`` by a counting wrapper in every topotype namespace that
+    binds it; returns the list the arguments of each call are appended to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "topotype" or name.startswith("topotype."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_total_types_tests_primality_once(monkeypatch):
+    prime_tests = _count_calls(monkeypatch, exact.is_prime)
+    part_calls = _count_calls(monkeypatch, residues.part_wz)
+    block_calls = _count_calls(monkeypatch, residues.block_wz)
+    report = total_types(1000003, 2, 30)
+    assert len(report.reports) == 5602
+    assert len(prime_tests) <= 2
+    assert part_calls == [] and block_calls == []
+
+
+def test_count_types_tests_primality_once_per_call(monkeypatch):
+    prime_tests = _count_calls(monkeypatch, exact.is_prime)
+    parts = [PartitionType((2, 2)), PartitionType((3, 2, 1, 1)), PartitionType((1,) * 8)]
+    for i, part in enumerate(parts, start=1):
+        count_types_rank2(part, 1000003)
+        assert len(prime_tests) == i
+    prime_tests.clear()
+    count_types_rank1(9, 1000003)
+    assert len(prime_tests) == 1
+
+
+def _card_A_quadratic(parts, p):
+    """The pairwise recursion rebuilding each suffix's block value from
+    scratch with the public ``block_wz``: the reference for ``card_A``."""
+    n = len(parts)
+    if n % 2 == 0:
+        wa, wb = part_wz(parts[-2], p), part_wz(parts[-1], p)
+        r = wa.W * wb.W
+        i = n - 4
+    else:
+        w1, w2, w3 = (part_wz(P, p) for P in parts[-3:])
+        r = w1.W * w2.W * w3.W + (p - 1) * w1.Z * w2.Z * w3.Z
+        i = n - 5
+    while i >= 0:
+        blk = block_wz(parts[i + 2 :], p)
+        s01 = blk.W - r
+        s11 = (p - 1) * blk.Z - blk.W + r
+        wa, wb = part_wz(parts[i], p), part_wz(parts[i + 1], p)
+        r = wa.W * (r * wb.W + s01 * wb.Z) + wa.Z * (s01 * wb.W + s11 * wb.Z)
+        i -= 2
+    return r
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 1000003])
+def test_card_A_matches_quadratic_recursion(p):
+    for R in range(3, 15):
+        for part in admissible_partitions(p, 2, R):
+            assert part.n <= p + 1
+            assert card_A(part, p) == _card_A_quadratic(part.parts, p), (p, part)
+            ascending = part.parts[::-1]
+            assert card_A(ascending, p) == _card_A_quadratic(ascending, p), (p, part)
+        total = sum(count_types_rank2(part, p).T for part in admissible_partitions(p, 2, R))
+        assert total_types(p, 2, R).total == total, (p, R)
+
+
+def _next_prime(n):
+    while not exact.is_prime(n):
+        n += 1
+    return n
+
+
+# small primes put parts on both sign branches (P = 0, 1 mod p); large
+# primes keep every part above 1 equidistributed
+odd_primes = st.one_of(st.integers(3, 40), st.integers(3, 10**6)).map(_next_prime)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=odd_primes, parts=st.lists(st.integers(1, 15), min_size=2, max_size=10),
+       data=st.data())
+def test_card_A_order_independent_random(p, parts, data):
+    assume(len(parts) <= p + 1)
+    shuffled = data.draw(st.permutations(parts))
+    value = card_A(parts, p)
+    assert card_A(shuffled, p) == value
+    assert value == _card_A_quadratic(tuple(shuffled), p)
+    if sum(1 for P in parts if P % p not in (0, 1)) >= 2:
+        assert card_A_shortcut(parts, p) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=odd_primes, n=st.integers(2, 14))
+def test_card_A_unitary_random(p, n):
+    assume(n <= p + 1)
+    assert card_A((1,) * n, p) == card_A_unitary(n, p)
+
+
+def test_bad_p_still_rejected():
+    with pytest.raises(ValueError):
+        card_A((2, 2), 9)
+    with pytest.raises(ValueError):
+        part_wz(2, 9)
+    with pytest.raises(ValueError):
+        block_wz((2,), 9)
+    with pytest.raises(ValueError):
+        count_types_rank2(PartitionType((2, 2)), 4)
+    with pytest.raises(ValueError):
+        count_types_rank1(5, 9)
+    for p in (9, 1, 0, -3):
+        with pytest.raises(ValueError, match="need an odd prime"):
+            total_types(p, 2, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        card_A((2, -1), 5)
