@@ -254,6 +254,8 @@ def count_types_klein(R: int) -> int:
 
 def total_types(p: int, k: int, R: int) -> TotalReport:
     """Sum of type counts over all admissible partitions of (p, k, R)."""
+    if k not in (1, 2):
+        raise ValueError(f"k = {k}: only ranks 1 and 2 are supported")
     if k == 1:
         reports = (count_types_rank1(R, p),)
     elif p == 2:

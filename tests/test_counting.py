@@ -308,3 +308,9 @@ def test_bad_p_still_rejected():
             total_types(p, 2, 5)
     with pytest.raises(ValueError, match="nonnegative"):
         card_A((2, -1), 5)
+
+
+@pytest.mark.parametrize("k", [0, 3, -1])
+def test_total_types_rejects_bad_rank(k):
+    with pytest.raises(ValueError, match=f"k = {k}"):
+        total_types(5, k, 6)

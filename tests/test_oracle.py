@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import topotype.oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +192,8 @@ FULL_GROUP_CASES = (
     + [(5, 2, R) for R in range(3, 6)]
     + [(7, 2, R) for R in range(3, 5)]
     + [(p, 1, R) for p in (3, 5, 7) for R in range(3, 9)]
+    + [(3, 2, R) for R in (8, 9)]
+    + [(2, 2, R) for R in (9, 10)]
 )
 
 
@@ -304,3 +307,75 @@ def test_write_representatives_roundtrip():
     assert [classify_partition(cols, 5) for cols in parsed] == [
         classify_partition(cols, 5) for cols in table.representatives
     ]
+
+
+GL = {(p, k): gl_matrices(p, k) for p in (2, 3, 5, 7) for k in (1, 2)}
+
+
+def _min_image(cols, p, k):
+    return min(
+        tuple(sorted(tuple(sum(m[r][c] * v[c] for c in range(k)) % p for r in range(k))
+                     for v in cols))
+        for m in GL[(p, k)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonical_form_under_tied_multiplicities(data):
+    # few lines and few values per line, so maximal multiplicities tie
+    # within a line and across lines, and pruning has to keep every tie
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    k = data.draw(st.sampled_from((1, 2)))
+    vector = st.tuples(*[st.integers(0, p - 1)] * k).filter(any)
+    pool = data.draw(st.lists(vector, min_size=1, max_size=3))
+    column = st.builds(lambda v, t: tuple(t * c % p for c in v),
+                       st.sampled_from(pool), st.integers(1, p - 1))
+    cols = data.draw(st.lists(column, min_size=k, max_size=9))
+    if k == 2:
+        assume(any((cols[0][0] * v[1] - cols[0][1] * v[0]) % p for v in cols))
+    assert canonical_form(cols, p, k) == _min_image(cols, p, k)
+
+
+CHUNK_CASES = ([(3, 2, R) for R in range(3, 10)] + [(5, 2, R) for R in range(3, 7)]
+               + [(7, 1, R) for R in range(3, 9)])
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("p,k,R", CHUNK_CASES)
+def test_chunk_size_does_not_change_answers(monkeypatch, chunk, p, k, R):
+    table = count_orbits(p, k, R)
+    sets = list(enumerate_generating_sets(p, k, R))
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    small = count_orbits(p, k, R)
+    assert (small.by_partition, small.total, small.representatives) == (
+        table.by_partition, table.total, table.representatives)
+    assert list(enumerate_generating_sets(p, k, R)) == sets
+
+
+def _record_chunks(monkeypatch):
+    sizes = []
+    stream = oracle._stream
+
+    def spy(*args):
+        for rows in stream(*args):
+            sizes.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(oracle, "_stream", spy)
+    return sizes
+
+
+def test_chunks_are_bounded(monkeypatch):
+    sizes = _record_chunks(monkeypatch)
+    table = count_orbits(5, 2, 7)  # 17,550 normal-form prefixes
+    assert len(sizes) > 1
+    assert max(sizes) <= oracle._CHUNK
+    assert table.total == 204
+    assert table.count((3, 2, 1, 1)) == 52
+
+    sizes.clear()
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    assert sum(1 for _ in enumerate_generating_sets(3, 2, 6)) == sum(sizes)
+    assert len(sizes) > 1
+    assert max(sizes) <= 7
