@@ -2,7 +2,9 @@
 
 Everything in this module is exact: integers are arbitrary precision,
 rationals are ``fractions.Fraction``, and polynomial evaluation is Horner
-over exact types.  No floating point anywhere.
+over exact types.  Interpolation runs in integers over one common
+denominator and makes a ``Fraction`` only for each final coefficient.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -144,36 +146,38 @@ def interpolate(points) -> RationalPolynomial:
     """Lagrange interpolation through exact points (x, y).
 
     Returns the unique polynomial of degree < len(points); raises if two
-    abscissae coincide.
+    abscissae coincide.  The work is done in integers: x and y are scaled by
+    the lcm of their denominators, every Lagrange numerator is
+    F(t) / (t - X_i) for the one product F(t) = prod_j (t - X_j), and the
+    terms are summed over the common denominator L = lcm_i |d_i|, where
+    d_i = prod_{j != i} (X_i - X_j).  Each coefficient is divided once, at
+    the end: O(n^2) integer operations for n points.
     """
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissa in interpolation input")
-    n = len(points)
-    acc = [Fraction(0)] * max(n, 1)
-    for i in range(n):
-        # numerator polynomial prod_{j != i} (x - x_j), built coefficient-wise
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            num = _mul_linear(num, -xs[j])
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for k, c in enumerate(num):
-            acc[k] += scale * c
-    return RationalPolynomial(tuple(acc))
-
-
-def _mul_linear(coeffs, c0):
-    """Multiply a coefficient list by (x + c0)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k] += c * c0
-        out[k + 1] += c
-    return out
+    dx = math.lcm(*(x.denominator for x in xs))
+    dy = math.lcm(*(y.denominator for y in ys))
+    X = [x.numerator * (dx // x.denominator) for x in xs]
+    Y = [y.numerator * (dy // y.denominator) for y in ys]
+    F = [1]  # coefficients of prod_j (t - X_j), index = degree
+    for xj in X:
+        F = [0] + F
+        for k in range(len(F) - 1):
+            F[k] -= xj * F[k + 1]
+    d = [math.prod(xi - xj for xj in X if xj != xi) for xi in X]
+    L = math.lcm(*d)
+    n = len(X)
+    acc = [0] * n
+    for xi, yi, di in zip(X, Y, d):
+        scale = yi * (L // di)
+        q = F[n]  # synthetic division of F by (t - xi), highest degree first
+        for k in range(n - 1, -1, -1):
+            acc[k] += scale * q
+            q = F[k] + xi * q
+    # sum_k acc_k t^k / L interpolates (X_i, Y_i); substitute t = dx * x, divide by dy
+    return RationalPolynomial(tuple(Fraction(a * dx**k, L * dy) for k, a in enumerate(acc)))
 
 
 @dataclass(frozen=True)

@@ -367,8 +367,12 @@ def canonical_form(columns, p: int, k: int):
     """Canonical representative of one rank-k multiset under the full group."""
     import numpy as np
 
+    reduced = [tuple(c % p for c in v) for v in columns]
+    for v, r in zip(columns, reduced):
+        if not any(r):
+            raise ValueError(f"column {tuple(v)} is zero mod {p}")
     index = {v: i for i, v in enumerate(nonzero_vectors(p, k))}
-    row = np.array([sorted(index[tuple(c % p for c in v)] for v in columns)], dtype=np.int64)
+    row = np.array([sorted(index[r] for r in reduced)], dtype=np.int64)
     code = _orbit_minima(row, p, k)
     if code[0] == np.iinfo(np.int64).max:
         raise ValueError(f"columns do not span F_{p}^{k}")

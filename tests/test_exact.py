@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topotype.exact import (
     RationalPolynomial,
@@ -138,3 +140,42 @@ def test_polynomial_evaluation_and_pretty():
     assert RationalPolynomial(()).pretty() == "0"
     cubic = RationalPolynomial((Fraction(-1, 36), Fraction(-1, 36), Fraction(1, 36), Fraction(1, 36)))
     assert cubic.pretty() == "(p^3 + p^2 - p - 1)/36"
+
+
+def _lagrange_reference(points):
+    """Textbook Lagrange in Fractions: sum_i y_i * prod_{j != i} (x - x_j) / (x_i - x_j)."""
+    xs = [Fraction(x) for x, _ in points]
+    coeffs = [Fraction(0)] * len(points)
+    for i, (_, y) in enumerate(points):
+        basis = [Fraction(y)]
+        for j, xj in enumerate(xs):
+            if j != i:
+                shifted = [Fraction(0)] + basis  # basis * x
+                basis = [(s - xj * b) / (xs[i] - xj) for s, b in zip(shifted, basis + [Fraction(0)])]
+        for k, c in enumerate(basis):
+            coeffs[k] += c
+    return coeffs
+
+
+_abscissa = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+_ordinate = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_abscissa, max_size=12, unique_by=Fraction), st.data())
+def test_interpolate_matches_reference_lagrange(xs, data):
+    points = [(x, data.draw(_ordinate)) for x in xs]
+    expected = RationalPolynomial(tuple(_lagrange_reference(points)))
+    assert interpolate(points) == expected
+
+
+def test_interpolate_rejects_equal_abscissae_of_different_types():
+    with pytest.raises(ValueError, match="duplicate abscissa"):
+        interpolate([(3, 1), (Fraction(6, 2), 2)])
+
+
+def test_interpolate_empty_is_zero():
+    assert interpolate([]).coeffs == ()

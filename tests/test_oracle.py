@@ -379,3 +379,9 @@ def test_chunks_are_bounded(monkeypatch):
     assert sum(1 for _ in enumerate_generating_sets(3, 2, 6)) == sum(sizes)
     assert len(sizes) > 1
     assert max(sizes) <= 7
+
+
+@pytest.mark.parametrize("zero", [(0, 0), (3, 0)])
+def test_canonical_form_names_a_zero_column(zero):
+    with pytest.raises(ValueError, match=rf"column \({zero[0]}, 0\) is zero mod 3"):
+        canonical_form([zero, (1, 0), (0, 1)], 3, 2)

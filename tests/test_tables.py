@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -230,3 +231,76 @@ def test_render_table_json_roundtrip():
 def test_render_table_rejects_unknown_format():
     with pytest.raises(ValueError):
         render_table(4, fmt="tsv")
+
+
+# sha256 of render_table(R, None, fmt), recorded before interpolation moved
+# to integer arithmetic: the table output must not change by one byte.
+TABLE_DIGESTS = {
+    3: {
+        "plain": "bb949c2a7818da71f10054d4f85efe7dcaaa4b841fe6e5bbe460ae1ec5603254",
+        "json": "aa6e7d5a20b71d8a9498de791baffbea66eb3cdb9202ad40a12765dc50198855",
+        "csv": "bbbe3feac98ffbedf50fd056b69060dee32c03dabe1ecc03c7fd3a7752536956",
+    },
+    4: {
+        "plain": "2358a6ebf680afc69c5ed26ebaf399f23d78bb881358768d592681a5fa3f8937",
+        "json": "0c17c51f0f2b96959e5056ce4db93341db1f7d461899c2d1bf1a0d7f4d20d7b4",
+        "csv": "a8004dd5aa8e16c59468a8e32287087ad49ea7db78106520c0e791a38a1dfd21",
+    },
+    5: {
+        "plain": "a8436b347121a2f56f5eb89184cd7c7c5991c5147a66ac9c75465624f0542e50",
+        "json": "7431e0ce596f7bdcbb99bd18793fd239cf315834db2d7e12d694f68555022a54",
+        "csv": "3960b91f8b17a934136af89c5069a22b0df943dc072e186f115cff14a56db074",
+    },
+    6: {
+        "plain": "8380b91f5247f693d934fd77c256641850523ee13994bc5f449a9577b39f7e51",
+        "json": "2dac904aca07e8adbfda4e3223172ba4315dbdbb808d0daa8d2a18a7333a8aa7",
+        "csv": "1bb4c5b56347238558df179d8f881962fac3dcb07fce5669f82b900b085e5b35",
+    },
+    7: {
+        "plain": "7aef08e8eeef680b84d1bc87c02b30790cbe89e2b711ad0c3f83f3fd3ad261cd",
+        "json": "63b6a7b117559bef1b8f84b30cc45486d1b89f9a926eafc4a3ea2cc92a2e0fc9",
+        "csv": "aa49037a094cfc26e205fefd4613ddf7648f11b07d4c6827715296393589eb63",
+    },
+    8: {
+        "plain": "3d6ba7ca558070136747dca3588fd8a9d75320e6a3babe404979423689205fa4",
+        "json": "36250ef0aaf82876d460f6ecf5f2724d2e66d62356402548108077211753bd5e",
+        "csv": "f20b5e14a60f5909eb0057a72e6e481ac180f889aaf40f04d42790dcc0918351",
+    },
+    9: {
+        "plain": "4741d700021f6e947c086b88a80e458f8e48a00d25bba2186198eeeb74a32976",
+        "json": "5b5380b3cdae5941531a64eaead93e4e6facc7e7ff2cbfcd34c17e4dd523145d",
+        "csv": "0a0ecb88eb0e0374cd613a2c1c56c0fa402d505f1fb7354d9699731f2af2734e",
+    },
+    10: {
+        "plain": "bd19820fc21242a82bf06e82e21c717a6a874d3d2e3b0a139e26f436166d1ff0",
+        "json": "c3f6acb903b3c44b6bcf1efab7646c5a3793b33d3906c89407d8789aa88c7b4c",
+        "csv": "47e57cc6b5c9314307bfc1d231d58edf20dab5930a399220e2689b772b30ac3f",
+    },
+    11: {
+        "plain": "f4742af13b559a962a2afc336cfa25f190b57639004d3d68c11fc41dfeec546e",
+        "json": "0396a912aff79ec3901c40fd1d79bda5324c8b6b94c598608d4cb5acecf28a14",
+        "csv": "dff2dc3c25474bbc3af6bfa31075ade8818d50a3033943a89260b5f6fb993d22",
+    },
+    12: {
+        "plain": "f22d975dce006239ab6a8f462aa08e2ca41e58304764d1ecbefe33ccdaf208ec",
+        "json": "30c7cf08e42a1da3d9256d7aba50425ec6107fed80127562ada3f2af0d674e08",
+        "csv": "acaea4953a40ef04c576e59f784fec26ef26b8faf15e087574ebaa9e6102ce2b",
+    },
+}
+
+
+@pytest.mark.parametrize("R", sorted(TABLE_DIGESTS))
+def test_render_table_bytes_are_pinned(R):
+    for fmt, digest in TABLE_DIGESTS[R].items():
+        assert hashlib.sha256(render_table(R, None, fmt).encode()).hexdigest() == digest, fmt
+
+
+def test_fits_reach_R14_and_hold_above_ten_thousand():
+    # fresh fits (each with its held-out checks) for every row of R = 11..14
+    far = (10007, 10009, 10037)
+    assert all(is_prime(q) for q in far)
+    for R in range(11, 15):
+        for part in table_rows(R):
+            fit = fit_partition_polynomial(part)
+            for q in far:
+                assert fit(q) == count_types_rank2(part, q).T, (part, q)
