@@ -33,7 +33,6 @@ from .oracle import (
     distribution_bruteforce,
     enumerate_generating_sets,
     rank1_orbit_count,
-    write_representatives,
 )
 from .partitions import (
     ActionParams,

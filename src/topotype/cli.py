@@ -9,30 +9,20 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
-from .counting import (
-    count_types_klein,
-    count_types_rank1,
-    count_types_rank2,
-    klein_type_count,
-    total_types,
-)
+from .counting import count_types_rank1, count_types_rank2, klein_type_count, total_types
 from .exact import is_prime
-from .oracle import GuardExceeded, check_feasible, count_orbits, rank1_orbit_count
+from .oracle import GuardExceeded, count_orbits
 from .partitions import (
     ActionParams,
-    AdmissibilityError,
     NotHyperbolicError,
-    PartitionType,
-    admissible_partitions,
     check_admissible,
     genus_of,
     parse_partition,
 )
-from .tables import PolynomialFitError, render_table
+from .tables import render_table
 
 
 def _parse_ints(text: str) -> list:
@@ -47,15 +37,26 @@ def _parse_range(text: str) -> list:
     return _parse_ints(text)
 
 
-def _emit_json(record) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+def _emit(fmt: str, doc, csv_rows, plain_lines) -> None:
+    """Print one result as JSON, CSV or plain text.  The arguments are
+    zero-argument callables returning the JSON document, the CSV rows and
+    the plain lines; only the one ``fmt`` asks for is called."""
+    if fmt == "json":
+        print(json.dumps(doc(), sort_keys=True, separators=(",", ":")))
+    elif fmt == "csv":
+        csv.writer(sys.stdout).writerows(csv_rows())
+    else:
+        print(*plain_lines(), sep="\n")
 
 
-def _genus_or_none(p: int, k: int, R: int):
+def _header(p: int, k: int, R: int) -> dict:
+    """The p/k/R/genus fields of a count or total record; the genus is
+    None when (p, k, R) is not hyperbolic."""
     try:
-        return genus_of(ActionParams(p, k, R))
+        genus = str(genus_of(ActionParams(p, k, R)))
     except NotHyperbolicError:
-        return None
+        genus = None
+    return {"p": str(p), "k": str(k), "R": str(R), "genus": genus}
 
 
 def _require_prime(p: int) -> None:
@@ -63,138 +64,86 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-def cmd_count(args) -> int:
-    p, k = args.p, args.k
-    _require_prime(p)
-    if args.partition is None and args.R is None:
-        raise ValueError("count needs --partition or --R")
-    if args.partition is not None:
-        part = parse_partition(args.partition)
-        R = part.R
-        if k == 1:
-            if part.n != 1:
-                raise AdmissibilityError("rank 1 takes a single part {R}")
-            report = count_types_rank1(R, p)
-        elif p == 2:
-            check_admissible(part, p, k)
-            t = klein_type_count(part)
-            report = None
-            record = {"partition": [str(x) for x in part.parts], "T": str(t)}
-        else:
-            check_admissible(part, p, k)
-            report = count_types_rank2(part, p)
-    else:
-        R = args.R
-        if k == 1:
-            report = count_types_rank1(R, p)
-        elif p == 2:
-            report = None
-            record = {"T": str(count_types_klein(R))}
-        else:
-            raise ValueError(
-                "for rank 2 and odd p give --partition; 'total' sums all partitions"
-            )
-    genus = _genus_or_none(p, k, R)
-    record_out = {
-        "p": str(p),
-        "k": str(k),
-        "R": str(R),
-        "genus": None if genus is None else str(genus),
-    }
-    if report is not None:
-        record_out.update({
-            "partition": [str(x) for x in report.partition.parts],
-            "card_A": str(report.card_A),
-            "burnside_terms": [[str(d), str(c)] for d, c in report.burnside_terms],
-            "marking_multiplier": str(report.marking_multiplier),
-            "T": str(report.T),
-        })
-    else:
-        record_out.update(record)
-    if args.format == "json":
-        print(_emit_json(record_out))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        keys = sorted(record_out)
-        writer.writerow(keys)
-        writer.writerow([_csv_cell(record_out[key]) for key in keys])
-        sys.stdout.write(buf.getvalue())
-    else:
-        if "partition" in record_out:
-            parts = record_out["partition"]
-            print(f"partition: {{{','.join(parts)}}}" if isinstance(parts, list) else parts)
-        print(f"p: {p}  k: {k}  R: {R}")
-        print(f"genus: {genus if genus is not None else 'n/a (not hyperbolic)'}")
-        if report is not None:
-            print(f"|A|: {report.card_A}")
-            if report.burnside_terms:
-                terms = "  ".join(f"d'={d}: {c}" for d, c in report.burnside_terms)
-                print(f"burnside corrections: {terms}")
-            else:
-                print("burnside corrections: none")
-            print(f"marking multiplier: {report.marking_multiplier}")
-        print(f"T: {record_out['T']}")
-    return 0
-
-
 def _csv_cell(value):
     if isinstance(value, list):
-        return " ".join(
-            ":".join(v) if isinstance(v, list) else str(v) for v in value
-        )
+        return " ".join(":".join(v) if isinstance(v, list) else v for v in value)
     return "" if value is None else value
+
+
+def cmd_count(args) -> int:
+    p, k, R = args.p, args.k, args.R
+    _require_prime(p)
+    part = report = None
+    if args.partition is not None:
+        part = parse_partition(args.partition)
+        if R is not None and R != part.R:
+            raise ValueError(f"--R {R} contradicts --partition {part}, which sums to {part.R}")
+        R = part.R
+        check_admissible(part, p, k)
+    elif R is None:
+        raise ValueError("count needs --partition or --R")
+    if k == 1:
+        report = count_types_rank1(R, p)
+    elif p == 2:
+        t = total_types(2, 2, R).total if part is None else klein_type_count(part)
+    elif part is None:
+        raise ValueError("for rank 2 and odd p give --partition; 'total' sums all partitions")
+    else:
+        report = count_types_rank2(part, p)
+    record = _header(p, k, R)
+    if report is not None:
+        part, t = report.partition, report.T
+        record.update(
+            card_A=str(report.card_A),
+            burnside_terms=[[str(d), str(c)] for d, c in report.burnside_terms],
+            marking_multiplier=str(report.marking_multiplier),
+        )
+    if part is not None:
+        record["partition"] = [str(x) for x in part.parts]
+    record["T"] = str(t)
+    keys = sorted(record)
+
+    def lines():
+        if part is not None:
+            yield f"partition: {part}"
+        yield f"p: {p}  k: {k}  R: {R}"
+        yield f"genus: {record['genus'] or 'n/a (not hyperbolic)'}"
+        if report is not None:
+            yield f"|A|: {report.card_A}"
+            terms = "  ".join(f"d'={d}: {c}" for d, c in report.burnside_terms)
+            yield f"burnside corrections: {terms or 'none'}"
+            yield f"marking multiplier: {report.marking_multiplier}"
+        yield f"T: {t}"
+
+    _emit(args.format, lambda: record,
+          lambda: [keys, [_csv_cell(record[key]) for key in keys]], lines)
+    return 0
 
 
 def cmd_total(args) -> int:
     p, k, R = args.p, args.k, args.R
     _require_prime(p)
     report = total_types(p, k, R)
-    genus = _genus_or_none(p, k, R)
-    if args.format == "json":
-        record = {
-            "p": str(p), "k": str(k), "R": str(R),
-            "genus": None if genus is None else str(genus),
-            "total": str(report.total),
-            "breakdown": [
-                {"partition": [str(x) for x in r.partition.parts], "T": str(r.T)}
-                for r in report.reports
-            ],
-        }
-        print(_emit_json(record))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["partition", "T"])
-        for r in report.reports:
-            writer.writerow([str(r.partition), str(r.T)])
-        writer.writerow(["total", str(report.total)])
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(f"p: {p}  k: {k}  R: {R}  genus: {genus if genus is not None else 'n/a'}")
-        for r in report.reports:
-            print(f"  {str(r.partition):<18} {r.T}")
-        print(f"total: {report.total}")
+    fields = _header(p, k, R)
+    rows = [(r.partition, str(r.T)) for r in report.reports]
+    total = str(report.total)
+    _emit(
+        args.format,
+        lambda: {**fields, "total": total, "breakdown": [
+            {"partition": [str(x) for x in q.parts], "T": t} for q, t in rows
+        ]},
+        lambda: [["partition", "T"], *([str(q), t] for q, t in rows), ["total", total]],
+        lambda: [f"p: {p}  k: {k}  R: {R}  genus: {fields['genus'] or 'n/a'}",
+                 *(f"  {str(q):<18} {t}" for q, t in rows), f"total: {total}"],
+    )
     return 0
 
 
-def _verify_cases(p: int, k: int, R: int, multiset_limit, step_limit):
-    """Yield (partition_label, oracle_count, formula_count) rows for one (p, R)."""
-    if k == 1:
-        oracle_total = rank1_orbit_count(p, R, multiset_limit, step_limit)
-        yield f"{{{R}}}", oracle_total, count_types_rank1(R, p).T
-        return
-    table = count_orbits(p, 2, R, multiset_limit, step_limit)
-    if p == 2:
-        formula = {part: klein_type_count(part) for part in admissible_partitions(2, 2, R)}
-    else:
-        formula = {
-            part: count_types_rank2(part, p).T for part in admissible_partitions(p, 2, R)
-        }
-    keys = sorted(set(formula) | set(table.by_partition), key=lambda q: (q.n, q.parts))
-    for part in keys:
-        yield str(part), table.by_partition.get(part, 0), formula.get(part, 0)
-    yield "total", table.total, sum(formula.values())
+def _verify_line(row: dict) -> str:
+    if row["status"] == "SKIPPED":
+        return f"SKIPPED p={row['p']} R={row['R']}: {row['reason']}"
+    return (f"{row['status']} p={row['p']} R={row['R']} {row['partition']}: "
+            f"oracle={row['oracle']} formula={row['formula']}")
 
 
 def cmd_verify(args) -> int:
@@ -202,38 +151,33 @@ def cmd_verify(args) -> int:
     if not args.p or not args.R:
         raise ValueError("verify needs at least one prime and one R (empty range?)")
     results = []
-    failures = 0
-    skipped = 0
     for p in args.p:
         _require_prime(p)
         for R in args.R:
             try:
-                check_feasible(p, k, R, args.guard_multisets, args.guard_steps)
-                rows = list(_verify_cases(p, k, R, args.guard_multisets, args.guard_steps))
+                table = count_orbits(p, k, R, args.guard_multisets, args.guard_steps)
             except GuardExceeded as exc:
-                skipped += 1
                 results.append({"p": str(p), "R": str(R), "status": "SKIPPED",
                                 "reason": str(exc)})
                 continue
+            formula = {r.partition: r.T for r in total_types(p, k, R).reports}
+            keys = sorted(set(formula) | set(table.by_partition), key=lambda q: (q.n, q.parts))
+            rows = [(str(q), table.by_partition.get(q, 0), formula.get(q, 0)) for q in keys]
+            if k == 2:
+                rows.append(("total", table.total, sum(formula.values())))
             for label, got, want in rows:
-                status = "PASS" if got == want else "FAIL"
-                if status == "FAIL":
-                    failures += 1
                 results.append({"p": str(p), "R": str(R), "partition": label,
                                 "oracle": str(got), "formula": str(want),
-                                "status": status})
-    if args.format == "json":
-        record = {"results": results, "failures": str(failures), "skipped": str(skipped)}
-        print(_emit_json(record))
-    else:
-        for row in results:
-            if row["status"] == "SKIPPED":
-                print(f"SKIPPED p={row['p']} R={row['R']}: {row['reason']}")
-            else:
-                print(f"{row['status']} p={row['p']} R={row['R']} "
-                      f"{row['partition']}: oracle={row['oracle']} "
-                      f"formula={row['formula']}")
-        print(f"failures: {failures}  skipped: {skipped}")
+                                "status": "PASS" if got == want else "FAIL"})
+    failures = sum(row["status"] == "FAIL" for row in results)
+    skipped = sum(row["status"] == "SKIPPED" for row in results)
+    columns = ["p", "R", "partition", "oracle", "formula", "status", "reason"]
+    _emit(
+        args.format,
+        lambda: {"results": results, "failures": str(failures), "skipped": str(skipped)},
+        lambda: [columns, *([row.get(c, "") for c in columns] for row in results)],
+        lambda: [*map(_verify_line, results), f"failures: {failures}  skipped: {skipped}"],
+    )
     return 1 if failures else 0
 
 
@@ -251,22 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(sp):
-        sp.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-
     sp = sub.add_parser("count", help="count types for one partition (or R)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, choices=[1, 2], required=True)
     sp.add_argument("--partition", type=str)
     sp.add_argument("--R", type=int)
-    add_format(sp)
     sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("total", help="sum type counts over all admissible partitions")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, choices=[1, 2], required=True)
     sp.add_argument("--R", type=int, required=True)
-    add_format(sp)
     sp.set_defaults(func=cmd_total)
 
     sp = sub.add_parser("verify", help="compare formulas against the brute-force oracle")
@@ -277,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="range like 3..6, or comma list")
     sp.add_argument("--guard-multisets", type=int, default=None)
     sp.add_argument("--guard-steps", type=int, default=None)
-    add_format(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("table", help="fit and render a table section")
@@ -285,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--primes", type=str, default=None,
                     help="comma-separated sample primes > 3; primes at or below "
                          "a row's largest part are displayed but not fitted")
-    add_format(sp)
     sp.set_defaults(func=cmd_table)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
     return parser
 
 
@@ -296,10 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AdmissibilityError, PolynomialFitError, NotHyperbolicError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardExceeded as exc:
+    except (ValueError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

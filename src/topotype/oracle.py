@@ -70,7 +70,8 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
     The estimate follows the algorithm: ``multichoose(R-1-k, p^k-1)``
     normal-form prefixes, and for each multiset one sorted R-column image
     per candidate basis, of which there are at most ``min(R(R-1), |GL_2|)``
-    for k = 2 and ``min(R, p-1)`` for k = 1.
+    for k = 2 and ``min(R, p-1)`` for k = 1.  Each orbit is encoded as an
+    R-digit number in base p^k-1, which must stay below 2^62.
     """
     _check_shape(k, R)
     m = multichoose(R - 1 - k, p**k - 1)
@@ -83,6 +84,9 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
             f"(p={p}, k={k}, R={R}): about {steps} canonicalization steps "
             f"exceeds the limit of {step_limit}"
         )
+    V = p**k - 1
+    if V**R > 2**62:
+        raise GuardExceeded(f"encoding width |V|^R = {V**R} exceeds 64-bit range")
 
 
 def nonzero_vectors(p: int, k: int) -> list:
@@ -344,9 +348,6 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
     import numpy as np
 
     check_feasible(p, k, R, multiset_limit, step_limit)
-    V = p**k - 1
-    if V**R > 2**62:
-        raise GuardExceeded(f"encoding width |V|^R = {V**R} exceeds 64-bit range")
     basis = tuple(p ** (k - 1 - c) - 1 for c in range(k))  # indices of e_1..e_k
     seen = np.zeros(0, dtype=np.int64)
     pending = []
@@ -420,17 +421,3 @@ def distribution_bruteforce(parts, weights, p: int, zero_first_column: bool = Fa
     counts = np.bincount(cur, minlength=p)
     return Distribution(tuple(int(c) for c in counts))
 
-
-def write_representatives(table: OrbitTable, path) -> int:
-    """Write orbit representatives, one multiset per line, each column as a
-    comma-separated coordinate tuple.  Returns the number of lines."""
-    lines = []
-    for cols in table.representatives:
-        lines.append(" ".join(",".join(str(c) for c in v) for v in cols))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return len(lines)

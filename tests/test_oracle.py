@@ -1,4 +1,3 @@
-import io
 import itertools
 
 import numpy as np
@@ -20,7 +19,6 @@ from topotype.oracle import (
     group_order,
     nonzero_vectors,
     rank1_orbit_count,
-    write_representatives,
 )
 from topotype.partitions import PartitionType, admissible_partitions
 from topotype.residues import full_distribution
@@ -264,8 +262,9 @@ def test_guard_step_limit_env(monkeypatch):
 
 def test_guard_encoding_width():
     # multiset and step guards pass here, the 64-bit encoding bound does not
-    with pytest.raises(GuardExceeded, match="encoding"):
-        count_orbits(3, 2, 21)
+    for call in (check_feasible, count_orbits):
+        with pytest.raises(GuardExceeded, match="encoding"):
+            call(3, 2, 21)
 
 
 def test_distribution_bruteforce_examples():
@@ -288,25 +287,6 @@ def test_distribution_bruteforce_matches_dp():
 def test_distribution_bruteforce_guard():
     with pytest.raises(GuardExceeded):
         distribution_bruteforce((2,), (1,), 5, multiset_limit=2)
-
-
-def test_write_representatives_roundtrip():
-    table = count_orbits(3, 2, 3)
-    buf = io.StringIO()
-    assert write_representatives(table, buf) == 1
-    assert buf.getvalue() == "0,1 1,0 2,2\n"
-
-    table = count_orbits(5, 2, 4)
-    buf = io.StringIO()
-    assert write_representatives(table, buf) == 4
-    lines = buf.getvalue().splitlines()
-    parsed = [
-        tuple(tuple(int(x) for x in col.split(",")) for col in line.split())
-        for line in lines
-    ]
-    assert [classify_partition(cols, 5) for cols in parsed] == [
-        classify_partition(cols, 5) for cols in table.representatives
-    ]
 
 
 GL = {(p, k): gl_matrices(p, k) for p in (2, 3, 5, 7) for k in (1, 2)}
