@@ -5,23 +5,32 @@ from .counting import (
     CountReport,
     TotalReport,
     card_A,
-    card_A_base2,
-    card_A_base3,
-    card_A_shortcut,
-    card_A_unitary,
-    count_types_klein,
     count_types_rank1,
     count_types_rank2,
     klein_type_count,
     total_types,
 )
-from .exact import (
+from .crosscheck import (
+    Distribution,
     GaussianBinomial,
+    PartWZ,
+    block_wz,
+    card_A_base2,
+    card_A_base3,
+    card_A_shortcut,
+    card_A_unitary,
+    count_types_klein,
+    distribution_bruteforce,
+    full_distribution,
+    gaussian_binomial,
+    part_wz,
+    row_counts,
+)
+from .exact import (
     RationalPolynomial,
     binomial,
     divisors_greater_than_one,
     euler_phi,
-    gaussian_binomial,
     interpolate,
     multichoose,
 )
@@ -30,7 +39,6 @@ from .oracle import (
     OrbitTable,
     classify_partition,
     count_orbits,
-    distribution_bruteforce,
     enumerate_generating_sets,
     rank1_orbit_count,
 )
@@ -44,7 +52,6 @@ from .partitions import (
     marking_count,
     parse_partition,
 )
-from .residues import Distribution, PartWZ, block_wz, full_distribution, part_wz, row_counts
 from .tables import (
     PolynomialFitError,
     StratifiedPolynomial,

@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="fit and render a table section")
     sp.add_argument("--R", type=int, required=True)
     sp.add_argument("--primes", type=str, default=None,
-                    help="comma-separated sample primes > 3; primes at or below "
-                         "a row's largest part are displayed but not fitted")
+                    help="comma-separated sample primes to display; each one above "
+                         "a row's largest part is checked against the row's fit")
     sp.set_defaults(func=cmd_table)
 
     for sp in sub.choices.values():

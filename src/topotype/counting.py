@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .exact import binomial, divisors_greater_than_one, euler_phi, exact_div, is_prime, multichoose
 from .partitions import PartitionType, admissible_partitions, marking_count
-from .residues import _check_odd_prime, _part_wz, _unit_sign, _wz, part_wz
 
 
 @dataclass(frozen=True)
@@ -53,16 +52,23 @@ def _as_parts(partition) -> tuple:
     return tuple(int(x) for x in partition)
 
 
-def card_A_base2(P1: int, P2: int, p: int) -> int:
-    """Two-part base case: both block sums must vanish independently."""
-    return part_wz(P1, p).W * part_wz(P2, p).W
+def _check_odd_prime(p: int) -> None:
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p = {p}: need an odd prime")
 
 
-def card_A_base3(P1: int, P2: int, P3: int, p: int) -> int:
-    """Three-part base case: W1 W2 W3 + (p-1) Z1 Z2 Z3 (the three block sums
-    are zero, or hit a common nonzero class pattern once per unit)."""
-    w1, w2, w3 = part_wz(P1, p), part_wz(P2, p), part_wz(P3, p)
-    return w1.W * w2.W * w3.W + (p - 1) * w1.Z * w2.Z * w3.Z
+def _unit_sign(P: int, p: int) -> int:
+    """b_P mod p when that residue is +1 or -1 (P congruent to 0 or 1 mod
+    p), else 0: the rows of such a part equidistribute over the p classes."""
+    r = P % p
+    return 1 if r == 0 else -1 if r == 1 else 0
+
+
+def _wz(B: int, sign: int, p: int) -> tuple:
+    """(W, Z) of B rows whose zero class is off the average B/p by ``sign``
+    times (p-1)/p: W = Z + sign, W + (p-1) Z = B."""
+    z = exact_div(B - sign, p)
+    return z + sign, z
 
 
 def _check_part_count(n: int, p: int) -> None:
@@ -84,13 +90,14 @@ def card_A(partition, p: int) -> int:
     and s01 = W' - r, s11 = (p-1)Z' - W' + r, the next value is
     [W_a Z_a] [[r, s01], [s01, s11]] [W_b Z_b]^T.  The suffix starts empty
     (r = 1) for an even number of parts and as the last part alone (r = its
-    W) for an odd number, which reproduces ``card_A_base2`` and
-    ``card_A_base3`` as the first step.
+    W) for an odd number, which reproduces ``crosscheck.card_A_base2``
+    and ``crosscheck.card_A_base3`` as the first step.
 
     One linear pass: each part's b_P = binomial(P+p-2, P) and sign (+1 for
     P = 0, -1 for P = 1, else 0 mod p) are computed once, and the suffix's
     product B of the b_P and product of the signs are carried forward, so
-    (W', Z') = (z + sign, z) with z = (B - sign)/p, as ``block_wz`` gives.
+    (W', Z') = (z + sign, z) with z = (B - sign)/p, as
+    ``crosscheck.block_wz`` gives.
     """
     parts = _as_parts(partition)
     _check_part_count(len(parts), p)
@@ -125,47 +132,6 @@ def _card_A(parts: tuple, p: int) -> int:
     return r
 
 
-def card_A_shortcut(partition, p: int) -> int:
-    """Product shortcut: |A| = (prod b_{P_i}) / p^2, valid whenever at least
-    two parts are not congruent to 0 or 1 mod p (two independently
-    equidistributed blocks make both row constraints uniform)."""
-    parts = _as_parts(partition)
-    if sum(1 for P in parts if P % p not in (0, 1)) < 2:
-        raise ValueError("shortcut needs two parts not congruent to 0, 1 mod p")
-    B = 1
-    for P in parts:
-        B *= math.comb(P + p - 2, P)
-    return exact_div(B, p * p)
-
-
-def card_A_unitary(n: int, p: int) -> int:
-    """|A| of the all-ones partition by the collapsed scalar recursion.
-
-    Each step consumes two parts: r <- (p-1) Z' - W' + r, where (W', Z') is
-    the block value of the 2u (even chain) or 2u+1 (odd chain) ones consumed
-    so far, with closed forms Z' = ((p-1)^{2u} - 1)/p and
-    Z'' = ((p-1)^{2u+1} + 1)/p.
-    """
-    _check_part_count(n, p)
-    if n == 2:
-        return 0
-    if n == 3:
-        return p - 1
-    if n % 2 == 0:
-        r = 0
-        for u in range(1, n // 2):
-            z = exact_div((p - 1) ** (2 * u) - 1, p)
-            w = z + 1
-            r = (p - 1) * z - w + r
-    else:
-        r = p - 1
-        for u in range(1, (n - 3) // 2 + 1):
-            z = exact_div((p - 1) ** (2 * u + 1) + 1, p)
-            w = z - 1
-            r = (p - 1) * z - w + r
-    return r
-
-
 def _burnside_terms(parts, p: int) -> tuple:
     """Correction terms of the scalar Burnside average: for each d' > 1
     dividing every part and p-1, the scalars of order d' fix
@@ -186,14 +152,9 @@ def count_types_rank2(partition, p: int) -> CountReport:
     T = binomial(p-2, n-3) * (|A| + corrections) / (p-1): Burnside over the
     scalar group for one marking, times the number of markings.
     """
-    _check_rank2_prime(p)
+    _check_odd_prime(p)
     part = partition if isinstance(partition, PartitionType) else PartitionType(_as_parts(partition))
     return _count_types_rank2(part, p)
-
-
-def _check_rank2_prime(p: int) -> None:
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p = {p}: need an odd prime")
 
 
 def _count_types_rank2(part: PartitionType, p: int) -> CountReport:
@@ -219,7 +180,7 @@ def count_types_rank1(R: int, p: int) -> CountReport:
     if p == 2:
         t = 1 if R % 2 == 0 else 0
         return CountReport(part, p, t, (), 1, t)
-    w = _part_wz(R, p).W
+    w = _wz(binomial(R + p - 2, R), _unit_sign(R, p), p)[0]
     terms = _burnside_terms((R,), p)
     t = exact_div(w + sum(c for _, c in terms), p - 1)
     return CountReport(part, p, w, terms, 1, t)
@@ -236,22 +197,6 @@ def klein_type_count(partition) -> int:
     return 0
 
 
-def count_types_klein(R: int) -> int:
-    """Total Klein 4-group (p=2, rank 2) types with R branch points:
-    partitions of R into three parts of equal parity plus partitions into
-    two even parts."""
-    if R < 3:
-        raise ValueError("need R >= 3")
-    three = 0
-    for a in range(1, R // 3 + 1):  # smallest part
-        for b in range(a, (R - a) // 2 + 1):  # middle part; largest is forced
-            c = R - a - b
-            if a % 2 == b % 2 == c % 2:
-                three += 1
-    two = sum(1 for a in range(2, R // 2 + 1, 2) if (R - a) % 2 == 0)
-    return three + two
-
-
 def total_types(p: int, k: int, R: int) -> TotalReport:
     """Sum of type counts over all admissible partitions of (p, k, R)."""
     if k not in (1, 2):
@@ -264,7 +209,7 @@ def total_types(p: int, k: int, R: int) -> TotalReport:
             for part in admissible_partitions(2, 2, R)
         )
     else:
-        _check_rank2_prime(p)
+        _check_odd_prime(p)
         reports = tuple(
             _count_types_rank2(part, p) for part in admissible_partitions(p, 2, R)
         )

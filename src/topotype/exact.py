@@ -178,46 +178,3 @@ def interpolate(points) -> RationalPolynomial:
             q = F[k] + xi * q
     # sum_k acc_k t^k / L interpolates (X_i, Y_i); substitute t = dx * x, divide by dy
     return RationalPolynomial(tuple(Fraction(a * dx**k, L * dy) for k, a in enumerate(acc)))
-
-
-@dataclass(frozen=True)
-class GaussianBinomial:
-    """q-binomial [m+n, m]_q as its integer coefficient list t_0..t_{mn}.
-
-    t_l is the number of partitions of l into at most m parts each of size
-    at most n; the list is palindromic and sums to binomial(m+n, m).
-    """
-
-    m: int
-    n: int
-    coeffs: tuple
-
-    def __call__(self, q: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
-
-
-def gaussian_binomial(m: int, n: int) -> GaussianBinomial:
-    """Compute the q-binomial coefficient by the q-Pascal recurrence.
-
-    G(m, n) = G(m-1, n) + q^m * G(m, n-1), with G(m, 0) = G(0, n) = 1.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("need nonnegative arguments")
-    # table[j] holds the coefficient list of G(i, j) for the current row i
-    table = [[1] for _ in range(n + 1)]
-    for i in range(1, m + 1):
-        new = [[1]]
-        for j in range(1, n + 1):
-            a = new[j - 1]  # G(i, j-1)
-            b = table[j]  # G(i-1, j)
-            out = [0] * (i * j + 1)
-            for k, c in enumerate(b):
-                out[k] += c
-            for k, c in enumerate(a):
-                out[k + i] += c
-            new.append(out)
-        table = new
-    return GaussianBinomial(m, n, tuple(table[n]))

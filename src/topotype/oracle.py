@@ -2,8 +2,7 @@
 
 Everything here counts by listing actual objects: generating column
 multisets over F_p^k with their orbits under the full automorphism group
-GL_k(F_p), and literal matrix enumerations for the weighted-sum
-distributions.  Nothing is shared with the formula modules beyond basic
+GL_k(F_p).  Nothing is shared with the formula modules beyond basic
 binomials, so agreement between the two routes is meaningful evidence.
 """
 
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -21,23 +19,12 @@ from .partitions import PartitionType
 DEFAULT_MULTISET_LIMIT = 10**7
 DEFAULT_STEP_LIMIT = 10**10
 
-ENV_STEP_LIMIT = "TOPOTYPE_GUARD_STEPS"
-
 _CHUNK = 1 << 14  # most normal-form prefixes expanded at once
 _SLICE = 1 << 14  # most image entries (candidates x R) sorted at once
 
 
 class GuardExceeded(RuntimeError):
     """Enumeration refused: the estimated work exceeds the feasibility guard."""
-
-
-def _step_limit(step_limit):
-    if step_limit is not None:
-        return int(step_limit)
-    env = os.environ.get(ENV_STEP_LIMIT)
-    if env:
-        return int(env)
-    return DEFAULT_STEP_LIMIT
 
 
 def _check_shape(k: int, R: int) -> None:
@@ -76,7 +63,7 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
     _check_shape(k, R)
     m = multichoose(R - 1 - k, p**k - 1)
     _check_multisets(p, k, R, m, multiset_limit)
-    step_limit = _step_limit(step_limit)
+    step_limit = DEFAULT_STEP_LIMIT if step_limit is None else int(step_limit)
     bases = min(R * (R - 1), group_order(p, k)) if k == 2 else min(R, p - 1)
     steps = m * R * bases
     if steps > step_limit:
@@ -384,40 +371,3 @@ def rank1_orbit_count(p: int, R: int, multiset_limit=None, step_limit=None) -> i
     """Orbits of F_p^* acting elementwise on zero-sum R-multisets of nonzero
     residues (rank-1 ground truth)."""
     return count_orbits(p, 1, R, multiset_limit, step_limit).total
-
-
-def distribution_bruteforce(parts, weights, p: int, zero_first_column: bool = False,
-                            multiset_limit=None):
-    """Literal enumeration of the weighted-sum distribution.
-
-    Materializes the weighted sum of every matrix (one row per part, row i a
-    multiset of P_i column indices, first column excluded when requested)
-    and buckets by residue.  Kept deliberately independent of the dynamic-
-    programming route.
-    """
-    import numpy as np
-
-    from .residues import Distribution  # local import: keep module layers separate
-
-    parts = tuple(parts)
-    weights = tuple(weights)
-    if len(weights) != len(parts):
-        raise ValueError("need one weight per part")
-    multiset_limit = DEFAULT_MULTISET_LIMIT if multiset_limit is None else int(multiset_limit)
-    total = 1
-    for P in parts:
-        cols = p - 1 if zero_first_column else p
-        total *= multichoose(P, cols)
-    if total > multiset_limit:
-        raise GuardExceeded(f"{total} matrices exceeds the limit of {multiset_limit}")
-    cur = np.zeros(1, dtype=np.int64)
-    first = 1 if zero_first_column else 0
-    for P, w in zip(parts, weights):
-        sums = []
-        for combo in itertools.combinations_with_replacement(range(first, p), P):
-            sums.append(sum(w * j for j in combo) % p)
-        row = np.array(sums, dtype=np.int64)
-        cur = (cur[:, None] + row[None, :]).ravel() % p
-    counts = np.bincount(cur, minlength=p)
-    return Distribution(tuple(int(c) for c in counts))
-

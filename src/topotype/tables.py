@@ -28,8 +28,8 @@ class PolynomialFitError(ValueError):
 
 def fit_floor(partition: PartitionType) -> int:
     """Least p at which a fit holds: above the largest part (so every part
-    P has P mod p = P and ``part_wz``/``block_wz`` take one fixed branch), at
-    least n-1 (the n parts fit on the p+1 lines) and at least 3."""
+    P has P mod p = P and its (W, Z) counts in ``counting`` take one fixed
+    branch), at least n-1 (the n parts fit on the p+1 lines) and at least 3."""
     return max(3, max(partition.parts) + 1, partition.n - 1)
 
 
@@ -160,24 +160,22 @@ class TableRow:
 
 
 def build_table(R: int, primes=None) -> list:
-    """Fit every row of the R-section.  ``primes`` controls which sample
-    values are displayed (every supplied prime with p >= n-1); the fit uses
-    those at or above the row's fit floor, and the pool is extended
-    automatically whenever they cannot pin down the row's polynomial."""
+    """Fit every row of the R-section from the automatic prime pool.
+    ``primes`` selects the sample values displayed (each distinct supplied
+    prime with p >= n-1), and every one of them at or above the row's fit
+    floor must agree with the fit: a mismatch raises ``PolynomialFitError``
+    naming the row and the prime."""
     rows = []
     for part in table_rows(R):
-        fit, shown = None, []
-        if primes is not None:
-            shown = sorted(q for q in primes if q >= part.n - 1)
-            floor = fit_floor(part)
-            try:
-                fit = fit_partition_polynomial(part, primes=[q for q in shown if q >= floor])
-            except PolynomialFitError:
-                pass  # the supplied primes cannot pin the row down
-        if fit is None:
-            fit = fit_partition_polynomial(part)  # auto pool
-        sample_ps = shown or _primes_in_class(0, 1, 4, part.n - 1)
-        samples = tuple((q, count_types_rank2(part, q).T) for q in sample_ps)
+        fit = fit_partition_polynomial(part)
+        shown = sorted({q for q in primes or () if q >= part.n - 1})
+        samples = tuple((q, count_types_rank2(part, q).T)
+                        for q in shown or _primes_in_class(0, 1, 4, part.n - 1))
+        for q, t in samples:
+            if q in shown and q >= fit.min_prime and fit(q) != t:
+                raise PolynomialFitError(
+                    f"{part}: supplied prime {q} gives {t}, the fit gives {fit(q)}"
+                )
         rows.append(TableRow(part, fit, samples))
     return rows
 

@@ -20,21 +20,20 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from topotype.counting import (
-    card_A,
+from topotype.counting import card_A, count_types_rank1, count_types_rank2, klein_type_count
+from topotype.crosscheck import (
     card_A_base2,
     card_A_base3,
     card_A_shortcut,
     card_A_unitary,
     count_types_klein,
-    count_types_rank1,
-    count_types_rank2,
-    klein_type_count,
+    distribution_bruteforce,
+    full_distribution,
+    gaussian_binomial,
 )
-from topotype.exact import binomial, gaussian_binomial
-from topotype.oracle import count_orbits, distribution_bruteforce, rank1_orbit_count
+from topotype.exact import binomial
+from topotype.oracle import count_orbits, rank1_orbit_count
 from topotype.partitions import PartitionType, admissible_partitions
-from topotype.residues import full_distribution
 from topotype.tables import (
     PolynomialFitError,
     default_degree_bound,

@@ -1,9 +1,12 @@
-"""CLI output contract for count, total and verify.
+"""CLI output contract for count, total, verify and ``table --primes``.
 
 ``PINNED`` holds the sha256 of (exit code, stdout) of each command line, in
-every format, taken before the three subcommands shared one renderer; any
-change to what they print shows here.  ``verify --format csv`` is checked
-against the JSON results instead.
+every format: those of count, total and verify were taken before the three
+subcommands shared one renderer, those of ``table --primes`` before every
+table row was fitted from the automatic prime pool (``table --R 9 --primes
+5,7,11,13`` is too short a list to fit several rows); any change to what
+they print shows here.  ``verify --format csv`` is checked against the JSON
+results instead.
 """
 
 import contextlib
@@ -112,6 +115,12 @@ PINNED = [
     ("verify --p 5 --k 2 --R 6..3 --format json", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("verify --p 4 --k 2 --R 4 --format plain", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("verify --p 4 --k 2 --R 4 --format json", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("table --R 6 --primes 5,7,11,13,17,19 --format plain", "e9bc88b4a00602348ba93c92e4ee78998a4874e5d509bcbd9ea67d4801a29da7"),
+    ("table --R 6 --primes 5,7,11,13,17,19 --format json", "aad4da29bdee50924aca7ba6c5209dc6eba00a9d3b742bd4c5d03c1e81e47f44"),
+    ("table --R 6 --primes 5,7,11,13,17,19 --format csv", "33442773237ff149a392af69033b0e65a5f9455a67c3d5fe6768e388d2f0bf76"),
+    ("table --R 9 --primes 5,7,11,13 --format plain", "9c4f19edaf7ddf71739bed9962eefff26461e3d2e3a18cf8d057560606b34bad"),
+    ("table --R 9 --primes 5,7,11,13 --format json", "080db27da128f031c312811a28aebcc5e6d177cd2d5538350f5cb1efb9662976"),
+    ("table --R 9 --primes 5,7,11,13 --format csv", "6c12c44713070a9c8520b8d69f3a2a14ee8129794c281907b9b46f69e46e3683"),
 ]
 
 

@@ -5,21 +5,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from topotype import exact, residues
+from topotype import crosscheck, exact
 from topotype.counting import (
     card_A,
-    card_A_base2,
-    card_A_base3,
-    card_A_shortcut,
-    card_A_unitary,
-    count_types_klein,
     count_types_rank1,
     count_types_rank2,
     klein_type_count,
     total_types,
 )
+from topotype.crosscheck import (
+    block_wz,
+    card_A_base2,
+    card_A_base3,
+    card_A_shortcut,
+    card_A_unitary,
+    count_types_klein,
+    part_wz,
+)
 from topotype.partitions import PartitionType, admissible_partitions
-from topotype.residues import block_wz, part_wz
 
 
 def test_card_A_base2():
@@ -208,8 +211,8 @@ def _count_calls(monkeypatch, fn):
 
 def test_total_types_tests_primality_once(monkeypatch):
     prime_tests = _count_calls(monkeypatch, exact.is_prime)
-    part_calls = _count_calls(monkeypatch, residues.part_wz)
-    block_calls = _count_calls(monkeypatch, residues.block_wz)
+    part_calls = _count_calls(monkeypatch, crosscheck.part_wz)
+    block_calls = _count_calls(monkeypatch, crosscheck.block_wz)
     report = total_types(1000003, 2, 30)
     assert len(report.reports) == 5602
     assert len(prime_tests) <= 2

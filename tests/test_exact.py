@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topotype.crosscheck import gaussian_binomial
 from topotype.exact import (
     RationalPolynomial,
     binomial,
     divisors_greater_than_one,
     euler_phi,
     exact_div,
-    gaussian_binomial,
     interpolate,
     is_prime,
     multichoose,

@@ -6,14 +6,14 @@ import topotype.oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from topotype.counting import card_A_base3, count_types_rank1
+from topotype.counting import count_types_rank1
+from topotype.crosscheck import card_A_base3, distribution_bruteforce, full_distribution
 from topotype.oracle import (
     GuardExceeded,
     canonical_form,
     check_feasible,
     classify_partition,
     count_orbits,
-    distribution_bruteforce,
     enumerate_generating_sets,
     gl_matrices,
     group_order,
@@ -21,7 +21,6 @@ from topotype.oracle import (
     rank1_orbit_count,
 )
 from topotype.partitions import PartitionType, admissible_partitions
-from topotype.residues import full_distribution
 
 
 def test_group_order():
@@ -250,14 +249,6 @@ def test_bad_R_is_named():
 def test_guard_step_limit():
     with pytest.raises(GuardExceeded, match="steps"):
         count_orbits(5, 2, 4, step_limit=10)
-
-
-def test_guard_step_limit_env(monkeypatch):
-    monkeypatch.setenv("TOPOTYPE_GUARD_STEPS", "100")
-    with pytest.raises(GuardExceeded, match="steps"):
-        count_orbits(5, 2, 4)
-    monkeypatch.delenv("TOPOTYPE_GUARD_STEPS")
-    assert count_orbits(5, 2, 4).total == 4
 
 
 def test_guard_encoding_width():

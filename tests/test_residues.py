@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from topotype.oracle import distribution_bruteforce
-from topotype.residues import (
+import topotype
+from topotype.crosscheck import (
     PartWZ,
     block_wz,
+    distribution_bruteforce,
     full_distribution,
     part_wz,
     row_counts,
@@ -133,3 +137,37 @@ def test_full_distribution_rejects_bad_weights():
         full_distribution((2,), (5,), 5)
     with pytest.raises(ValueError):
         full_distribution((2, 1), (1,), 5)
+
+
+PACKAGE_EXPORTS = (
+    "ActionParams", "AdmissibilityError", "CountReport", "Distribution", "GaussianBinomial",
+    "GuardExceeded", "NotHyperbolicError", "OrbitTable", "PartWZ", "PartitionType",
+    "PolynomialFitError", "RationalPolynomial", "StratifiedPolynomial", "TotalReport",
+    "__version__", "admissible_partitions", "binomial", "block_wz", "card_A", "card_A_base2",
+    "card_A_base3", "card_A_shortcut", "card_A_unitary", "classify_partition", "count_orbits",
+    "count_types_klein", "count_types_rank1", "count_types_rank2", "distribution_bruteforce",
+    "divisors_greater_than_one", "enumerate_generating_sets", "euler_phi",
+    "fit_partition_polynomial", "full_distribution", "gaussian_binomial", "genus_of",
+    "interpolate", "klein_type_count", "marking_count", "multichoose", "parse_partition",
+    "part_wz", "rank1_orbit_count", "render_table", "row_counts", "total_types",
+)
+
+
+def test_crosscheck_stays_off_the_production_path():
+    # no production module imports the cross-check routes, not even inside a
+    # function body, and the package still exports every name it did
+    package = Path(topotype.__file__).parent
+    production = [path for path in sorted(package.glob("*.py"))
+                  if path.name not in ("__init__.py", "crosscheck.py")]
+    assert len(production) >= 6
+    for path in production:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any("crosscheck" in name.split(".") for name in names), path.name
+    for name in PACKAGE_EXPORTS:
+        assert hasattr(topotype, name), name

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -149,6 +150,22 @@ def test_build_table_uses_supplied_primes_for_samples():
         assert [q for q, _ in row.samples] == [5, 7, 11, 13]
         for q, t in row.samples:
             assert t == count_types_rank2(row.partition, q).T
+    # a repeated prime is shown once
+    for row in build_table(4, primes=[5, 5, 7]):
+        assert [q for q, _ in row.samples] == [5, 7]
+
+
+def test_build_table_checks_supplied_primes_against_the_fit(monkeypatch):
+    # a count off by one at a supplied prime above the floor must not be
+    # shown next to a polynomial that disagrees with it
+    def off_at_29(part, p):
+        report = count_types_rank2(part, p)
+        return dataclasses.replace(report, T=report.T + (p == 29))
+
+    monkeypatch.setattr("topotype.tables.count_types_rank2", off_at_29)
+    with pytest.raises(PolynomialFitError, match=r"\{2,2\}: supplied prime 29 gives 15"):
+        build_table(4, primes=[5, 7, 11, 13, 17, 19, 23, 29])
+    assert len(build_table(4, primes=[5, 7, 11, 13, 17, 19, 23])) == 3
 
 
 def test_build_table_extends_fit_pool_when_needed():
