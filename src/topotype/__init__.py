@@ -55,8 +55,8 @@ from .partitions import (
 from .tables import (
     PolynomialFitError,
     StratifiedPolynomial,
+    build_table,
     fit_partition_polynomial,
-    render_table,
 )
 
 __version__ = "0.1.0"

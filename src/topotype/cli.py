@@ -22,7 +22,7 @@ from .partitions import (
     genus_of,
     parse_partition,
 )
-from .tables import render_table
+from .tables import build_table
 
 
 def _parse_ints(text: str) -> list:
@@ -35,6 +35,13 @@ def _parse_range(text: str) -> list:
         lo, _, hi = text.partition("..")
         return list(range(int(lo), int(hi) + 1))
     return _parse_ints(text)
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
+    return value
 
 
 def _emit(fmt: str, doc, csv_rows, plain_lines) -> None:
@@ -182,8 +189,29 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    primes = _parse_ints(args.primes) if args.primes else None
-    sys.stdout.write(render_table(args.R, primes, args.format))
+    R = args.R
+    rows = build_table(R, _parse_ints(args.primes) if args.primes else None)
+    branches = [(row, {"modulus": str(row.fit.modulus), "class": str(c),
+                       "coefficients": [str(x) for x in poly.coeffs],
+                       "samples": [[str(q), str(t)] for q, t in row.samples]})
+                for row in rows for c, poly in sorted(row.fit.branches.items())]
+    columns = ["modulus", "class", "coefficients", "samples"]
+    _emit(
+        args.format,
+        lambda: {"R": str(R), "rows": [
+            {"partition": [str(x) for x in row.partition.parts], **record}
+            for row, record in branches
+        ]},
+        lambda: [["partition", *columns], *(
+            [str(row.partition), *(_csv_cell(record[c]) for c in columns)]
+            for row, record in branches
+        )],
+        lambda: [f"R = {R}", *(
+            f"  {str(row.partition):<18} {row.fit.pretty()}    "
+            + "  ".join(f"T({q})={t}" for q, t in row.samples)
+            for row in rows
+        )],
+    )
     return 0
 
 
@@ -214,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, choices=[1, 2], required=True)
     sp.add_argument("--R", type=_parse_range, required=True,
                     help="range like 3..6, or comma list")
-    sp.add_argument("--guard-multisets", type=int, default=None)
-    sp.add_argument("--guard-steps", type=int, default=None)
+    sp.add_argument("--guard-multisets", type=_nonnegative, default=None)
+    sp.add_argument("--guard-steps", type=_nonnegative, default=None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("table", help="fit and render a table section")

@@ -10,9 +10,6 @@ per class, and verifies every interpolant on held-out primes.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,10 +49,27 @@ class StratifiedPolynomial:
                 f"{self.partition}: the fit holds only for p >= min_prime = "
                 f"{self.min_prime} (got p = {p})"
             )
-        return self.branches[p % self.modulus]
+        branch = self.branches.get(p % self.modulus)
+        if branch is None:
+            raise ValueError(
+                f"{self.partition}: p = {p} is not a unit mod {self.modulus}, "
+                f"so no branch of the fit covers it"
+            )
+        return branch
 
     def __call__(self, p: int) -> Fraction:
         return self.branch_for(p)(p)
+
+    def pretty(self) -> str:
+        """Human form of the fit: one polynomial when every branch agrees,
+        else one labelled polynomial per group of identical branches."""
+        groups: dict = {}
+        for c, poly in sorted(self.branches.items()):
+            groups.setdefault(poly, []).append(c)
+        if len(groups) == 1:
+            return next(iter(groups)).pretty()
+        return "; ".join(f"[p%{self.modulus} in {','.join(map(str, cs))}] {poly.pretty()}"
+                         for poly, cs in groups.items())
 
 
 def default_degree_bound(partition: PartitionType) -> int:
@@ -164,11 +178,16 @@ def build_table(R: int, primes=None) -> list:
     ``primes`` selects the sample values displayed (each distinct supplied
     prime with p >= n-1), and every one of them at or above the row's fit
     floor must agree with the fit: a mismatch raises ``PolynomialFitError``
-    naming the row and the prime."""
+    naming the row and the prime.  A supplied value that is not an odd prime
+    raises ``PolynomialFitError`` naming it, whether or not a row shows it."""
+    supplied = sorted(set(primes or ()))
+    for q in supplied:
+        if q == 2 or not is_prime(q):
+            raise PolynomialFitError(f"supplied value {q} is not an odd prime")
     rows = []
     for part in table_rows(R):
         fit = fit_partition_polynomial(part)
-        shown = sorted({q for q in primes or () if q >= part.n - 1})
+        shown = [q for q in supplied if q >= part.n - 1]
         samples = tuple((q, count_types_rank2(part, q).T)
                         for q in shown or _primes_in_class(0, 1, 4, part.n - 1))
         for q, t in samples:
@@ -178,57 +197,3 @@ def build_table(R: int, primes=None) -> list:
                 )
         rows.append(TableRow(part, fit, samples))
     return rows
-
-
-def _branch_display(fit: StratifiedPolynomial) -> str:
-    """Human form of a fit: collapse identical branches."""
-    groups: dict = {}
-    for c, poly in sorted(fit.branches.items()):
-        groups.setdefault(poly.coeffs, []).append(c)
-    if len(groups) == 1:
-        (poly_coeffs,) = groups
-        return RationalPolynomial(poly_coeffs).pretty()
-    pieces = []
-    for coeffs, cs in groups.items():
-        cls = ",".join(str(c) for c in cs)
-        pieces.append(f"[p%{fit.modulus} in {cls}] {RationalPolynomial(coeffs).pretty()}")
-    return "; ".join(pieces)
-
-
-def render_table(R: int, primes=None, fmt: str = "plain") -> str:
-    """Render the R-section with fitted polynomials and raw sample counts."""
-    rows = build_table(R, primes)
-    if fmt == "plain":
-        lines = [f"R = {R}"]
-        for row in rows:
-            samples = "  ".join(f"T({q})={t}" for q, t in row.samples)
-            lines.append(f"  {str(row.partition):<18} {_branch_display(row.fit)}    {samples}")
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["partition", "modulus", "class", "coefficients", "samples"])
-        for row in rows:
-            for c, poly in sorted(row.fit.branches.items()):
-                writer.writerow([
-                    str(row.partition),
-                    row.fit.modulus,
-                    c,
-                    " ".join(str(x) for x in poly.coeffs),
-                    " ".join(f"{q}:{t}" for q, t in row.samples),
-                ])
-        return buf.getvalue()
-    if fmt == "json":
-        records = []
-        for row in rows:
-            for c, poly in sorted(row.fit.branches.items()):
-                records.append({
-                    "partition": [str(x) for x in row.partition.parts],
-                    "modulus": str(row.fit.modulus),
-                    "class": str(c),
-                    "coefficients": [str(x) for x in poly.coeffs],
-                    "samples": [[str(q), str(t)] for q, t in row.samples],
-                })
-        return json.dumps({"R": str(R), "rows": records}, sort_keys=True,
-                          separators=(",", ":")) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")

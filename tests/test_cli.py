@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import topotype
 from topotype.cli import main
 
@@ -212,3 +214,23 @@ def test_table_json(capsys):
     record = json.loads(out)
     assert record["R"] == "4"
     assert len(record["rows"]) >= 3
+
+
+def test_verify_rejects_negative_guards(capsys):
+    # a negative guard would skip every case and pass vacuously
+    for flag in ("--guard-multisets", "--guard-steps"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--p", "5", "--k", "2", "--R", "4", flag, "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be >= 0" in captured.err
+        assert captured.out == ""
+
+
+def test_table_rejects_supplied_values_that_are_not_odd_primes(capsys):
+    # each value is checked, also one that no row of the section would show
+    for value in ("1", "0", "-5", "2", "4"):
+        code, out, err = run(capsys, "table", "--R", "3", "--primes", value)
+        assert code == 2, value
+        assert f"supplied value {value} is not an odd prime" in err
+        assert out == ""

@@ -143,13 +143,13 @@ PACKAGE_EXPORTS = (
     "ActionParams", "AdmissibilityError", "CountReport", "Distribution", "GaussianBinomial",
     "GuardExceeded", "NotHyperbolicError", "OrbitTable", "PartWZ", "PartitionType",
     "PolynomialFitError", "RationalPolynomial", "StratifiedPolynomial", "TotalReport",
-    "__version__", "admissible_partitions", "binomial", "block_wz", "card_A", "card_A_base2",
-    "card_A_base3", "card_A_shortcut", "card_A_unitary", "classify_partition", "count_orbits",
-    "count_types_klein", "count_types_rank1", "count_types_rank2", "distribution_bruteforce",
-    "divisors_greater_than_one", "enumerate_generating_sets", "euler_phi",
-    "fit_partition_polynomial", "full_distribution", "gaussian_binomial", "genus_of",
-    "interpolate", "klein_type_count", "marking_count", "multichoose", "parse_partition",
-    "part_wz", "rank1_orbit_count", "render_table", "row_counts", "total_types",
+    "__version__", "admissible_partitions", "binomial", "block_wz", "build_table", "card_A",
+    "card_A_base2", "card_A_base3", "card_A_shortcut", "card_A_unitary", "classify_partition",
+    "count_orbits", "count_types_klein", "count_types_rank1", "count_types_rank2",
+    "distribution_bruteforce", "divisors_greater_than_one", "enumerate_generating_sets",
+    "euler_phi", "fit_partition_polynomial", "full_distribution", "gaussian_binomial",
+    "genus_of", "interpolate", "klein_type_count", "marking_count", "multichoose",
+    "parse_partition", "part_wz", "rank1_orbit_count", "row_counts", "total_types",
 )
 
 
@@ -171,3 +171,29 @@ def test_crosscheck_stays_off_the_production_path():
             assert not any("crosscheck" in name.split(".") for name in names), path.name
     for name in PACKAGE_EXPORTS:
         assert hasattr(topotype, name), name
+
+
+def test_only_cli_emit_serializes():
+    # one renderer: in the whole package only cli._emit calls json.dumps or
+    # csv.writer, only cli imports json or csv, and tables imports none of
+    # csv, io and json
+    package = Path(topotype.__file__).parent
+    callers, imports = set(), {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = imports.setdefault(path.stem, set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Name)
+                        and (node.func.value.id, node.func.attr)
+                        in {("json", "dumps"), ("csv", "writer")}):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"cli._emit"}
+    assert {stem for stem, names in imports.items() if names & {"csv", "json"}} == {"cli"}
+    assert not imports["tables"] & {"csv", "io", "json"}

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topotype.cli import main
 from topotype.counting import count_types_rank2
 from topotype.exact import is_prime
 from topotype.partitions import PartitionType
@@ -21,7 +23,6 @@ from topotype.tables import (
     default_modulus,
     fit_floor,
     fit_partition_polynomial,
-    render_table,
     table_rows,
 )
 
@@ -29,6 +30,14 @@ from topotype.tables import (
 @lru_cache(maxsize=None)
 def _fit(part):
     return fit_partition_polynomial(part)
+
+
+def table_stdout(R, fmt="plain"):
+    """Stdout of ``topotype table --R R --format fmt``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["table", "--R", str(R), "--format", fmt]) == 0
+    return out.getvalue()
 
 
 def test_default_degree_bound():
@@ -62,6 +71,13 @@ def test_fit_raises_below_min_prime():
     with pytest.raises(ValueError, match="min_prime = 6"):
         fit.branch_for(5)
     assert fit(7) == count_types_rank2(part, 7).T
+
+
+def test_fit_rejects_non_unit_class():
+    # 6 is above the floor of {2,2} but 6 % 4 = 2 is no unit class mod 4
+    fit = fit_partition_polynomial(PartitionType((2, 2)))
+    with pytest.raises(ValueError, match=r"p = 6 is not a unit mod 4"):
+        fit(6)
 
 
 def test_fit_rejects_primes_below_floor():
@@ -221,14 +237,14 @@ def test_fits_reproduce_counts_at_random_large_primes(data):
 
 
 def test_render_table_plain():
-    text = render_table(3)
+    text = table_stdout(3)
     assert text.startswith("R = 3")
     assert "{1,1,1}" in text
     assert "1" in text.splitlines()[1]
 
 
 def test_render_table_csv_parses():
-    text = render_table(4, fmt="csv")
+    text = table_stdout(4, fmt="csv")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["partition", "modulus", "class", "coefficients", "samples"]
     assert len(rows) > 3
@@ -238,20 +254,22 @@ def test_render_table_csv_parses():
 
 
 def test_render_table_json_roundtrip():
-    text = render_table(4, fmt="json")
+    text = table_stdout(4, fmt="json")
     obj = json.loads(text)
     assert json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" == text
     parts = {tuple(r["partition"]) for r in obj["rows"]}
     assert ("2", "2") in parts
 
 
-def test_render_table_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        render_table(4, fmt="tsv")
+def test_render_table_rejects_unknown_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--R", "4", "--format", "tsv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
-# sha256 of render_table(R, None, fmt), recorded before interpolation moved
-# to integer arithmetic: the table output must not change by one byte.
+# sha256 of the table's stdout in each format, recorded before interpolation
+# moved to integer arithmetic: the table output must not change by one byte.
 TABLE_DIGESTS = {
     3: {
         "plain": "bb949c2a7818da71f10054d4f85efe7dcaaa4b841fe6e5bbe460ae1ec5603254",
@@ -309,7 +327,7 @@ TABLE_DIGESTS = {
 @pytest.mark.parametrize("R", sorted(TABLE_DIGESTS))
 def test_render_table_bytes_are_pinned(R):
     for fmt, digest in TABLE_DIGESTS[R].items():
-        assert hashlib.sha256(render_table(R, None, fmt).encode()).hexdigest() == digest, fmt
+        assert hashlib.sha256(table_stdout(R, fmt).encode()).hexdigest() == digest, fmt
 
 
 def test_fits_reach_R14_and_hold_above_ten_thousand():
