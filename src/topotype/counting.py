@@ -78,6 +78,21 @@ def _check_part_count(n: int, p: int) -> None:
         raise ValueError(f"{n} parts but only {p + 1} cyclic subgroups (p={p})")
 
 
+def _values(p: int, parts, ns) -> tuple:
+    """The values one call shares across its partitions, computed once per
+    distinct part P and once per number of parts n: P -> (b_P, sign, W_P,
+    Z_P), with b_P = binomial(P+p-2, P) and sign as in ``_unit_sign``;
+    P -> {d': multichoose(P/d', (p-1)/d')} for each d' > 1 dividing P and
+    p-1, the Burnside factors; and n -> marking_count(p, n)."""
+    part_wz, burnside = {}, {}
+    for P in set(parts):
+        b, sign = binomial(P + p - 2, P), _unit_sign(P, p)
+        part_wz[P] = (b, sign, *_wz(b, sign, p))
+        burnside[P] = {dp: multichoose(P // dp, (p - 1) // dp)
+                       for dp in divisors_greater_than_one(math.gcd(p - 1, P))}
+    return part_wz, burnside, {n: marking_count(p, n) for n in ns}
+
+
 def card_A(partition, p: int) -> int:
     """|A| for any number of parts, by the pairwise recursion.
 
@@ -104,17 +119,16 @@ def card_A(partition, p: int) -> int:
     if min(parts) < 0:
         raise ValueError("part must be nonnegative")
     _check_odd_prime(p)
-    return _card_A(parts, p)
+    return _card_A(parts, _values(p, parts, ())[0], p)
 
 
-def _card_A(parts: tuple, p: int) -> int:
-    """``card_A`` for checked parts and an odd prime p."""
-    b = [binomial(P + p - 2, P) for P in parts]
-    signs = [_unit_sign(P, p) for P in parts]
-    wz = [_wz(bP, sP, p) for bP, sP in zip(b, signs)]
+def _card_A(parts: tuple, part_wz: dict, p: int) -> int:
+    """``card_A`` for checked parts and an odd prime p, reading each part's
+    (b_P, sign, W_P, Z_P) from ``part_wz``."""
+    wz = [part_wz[P] for P in parts]
     i = len(parts) - 2
     if len(parts) % 2:
-        r, B, sign = wz[-1][0], b[-1], signs[-1]
+        B, sign, r, _ = wz[-1]
         i -= 1
     else:
         r, B, sign = 1, 1, 1
@@ -124,24 +138,24 @@ def _card_A(parts: tuple, p: int) -> int:
         s11 = (p - 1) * Z - W + r
         if s01 < 0 or s11 < 0:
             raise ArithmeticError("negative recursion state; invariant broken")
-        (wa, za), (wb, zb) = wz[i], wz[i + 1]
+        (ba, sa, wa, za), (bb, sb, wb, zb) = wz[i], wz[i + 1]
         r = wa * (r * wb + s01 * zb) + za * (s01 * wb + s11 * zb)
-        B *= b[i] * b[i + 1]
-        sign *= signs[i] * signs[i + 1]
+        B *= ba * bb
+        sign *= sa * sb
         i -= 2
     return r
 
 
-def _burnside_terms(parts, p: int) -> tuple:
+def _burnside_terms(parts, burnside: dict, p: int) -> tuple:
     """Correction terms of the scalar Burnside average: for each d' > 1
     dividing every part and p-1, the scalars of order d' fix
-    prod_i multichoose(P_i/d', (p-1)/d') matrices, phi(d') of them."""
-    d = math.gcd(p - 1, *parts)
+    prod_i multichoose(P_i/d', (p-1)/d') matrices, phi(d') of them; the
+    factors are read from ``burnside`` (see ``_values``)."""
     terms = []
-    for dp_ in divisors_greater_than_one(d):
+    for dp_ in divisors_greater_than_one(math.gcd(p - 1, *parts)):
         fixed = 1
         for P in parts:
-            fixed *= multichoose(P // dp_, (p - 1) // dp_)
+            fixed *= burnside[P][dp_]
         terms.append((dp_, euler_phi(dp_) * fixed))
     return tuple(terms)
 
@@ -154,16 +168,18 @@ def count_types_rank2(partition, p: int) -> CountReport:
     """
     _check_odd_prime(p)
     part = partition if isinstance(partition, PartitionType) else PartitionType(_as_parts(partition))
-    return _count_types_rank2(part, p)
-
-
-def _count_types_rank2(part: PartitionType, p: int) -> CountReport:
-    """``count_types_rank2`` for an odd prime p the caller has already checked."""
     _check_part_count(part.n, p)
-    a = _card_A(part.parts, p)
-    terms = _burnside_terms(part.parts, p)
+    return _count_types_rank2(part, p, _values(p, part.parts, (part.n,)))
+
+
+def _count_types_rank2(part: PartitionType, p: int, values: tuple) -> CountReport:
+    """``count_types_rank2`` for an odd prime p and a part count the caller
+    has already checked, reading per-part and per-n values from ``values``."""
+    part_wz, burnside, marks = values
+    a = _card_A(part.parts, part_wz, p)
+    terms = _burnside_terms(part.parts, burnside, p)
     marked_classes = exact_div(a + sum(c for _, c in terms), p - 1)
-    mark = marking_count(p, part.n)
+    mark = marks[part.n]
     return CountReport(part, p, a, terms, mark, mark * marked_classes)
 
 
@@ -180,8 +196,9 @@ def count_types_rank1(R: int, p: int) -> CountReport:
     if p == 2:
         t = 1 if R % 2 == 0 else 0
         return CountReport(part, p, t, (), 1, t)
-    w = _wz(binomial(R + p - 2, R), _unit_sign(R, p), p)[0]
-    terms = _burnside_terms((R,), p)
+    part_wz, burnside, _ = _values(p, (R,), ())
+    w = part_wz[R][2]
+    terms = _burnside_terms((R,), burnside, p)
     t = exact_div(w + sum(c for _, c in terms), p - 1)
     return CountReport(part, p, w, terms, 1, t)
 
@@ -210,7 +227,7 @@ def total_types(p: int, k: int, R: int) -> TotalReport:
         )
     else:
         _check_odd_prime(p)
-        reports = tuple(
-            _count_types_rank2(part, p) for part in admissible_partitions(p, 2, R)
-        )
+        partitions = admissible_partitions(p, 2, R)
+        values = _values(p, range(1, R - 1), {part.n for part in partitions})
+        reports = tuple(_count_types_rank2(part, p, values) for part in partitions)
     return TotalReport(p, k, R, reports, sum(r.T for r in reports))

@@ -365,9 +365,3 @@ def canonical_form(columns, p: int, k: int):
     if code[0] == np.iinfo(np.int64).max:
         raise ValueError(f"columns do not span F_{p}^{k}")
     return _decode(code, p, k, row.shape[1])[0]
-
-
-def rank1_orbit_count(p: int, R: int, multiset_limit=None, step_limit=None) -> int:
-    """Orbits of F_p^* acting elementwise on zero-sum R-multisets of nonzero
-    residues (rank-1 ground truth)."""
-    return count_orbits(p, 1, R, multiset_limit, step_limit).total

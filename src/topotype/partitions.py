@@ -82,17 +82,20 @@ def genus_of(params: ActionParams) -> int:
     return g
 
 
-def _partitions_into(total: int, n: int, max_part: int):
-    """Yield descending n-part partitions of ``total`` in ascending lex order."""
-    if n == 1:
-        if 1 <= total <= max_part:
-            yield (total,)
-        return
-    # first (largest) part a, remaining n-1 parts each <= a
-    lo = -(-total // n)  # ceil: largest part is at least the average
-    for a in range(lo, min(max_part, total - (n - 1)) + 1):
-        for rest in _partitions_into(total - a, n - 1, a):
-            yield (a,) + rest
+def _partitions_into(total: int, n: int, max_part: int, memo: dict) -> list:
+    """Descending n-part partitions of ``total`` with no part above
+    ``max_part``, in ascending lex order; ``memo`` keeps each sub-list, for
+    the length of one caller's call."""
+    key = (total, n, max_part)
+    if key not in memo:
+        if n == 1:
+            memo[key] = [(total,)] if 1 <= total <= max_part else []
+        else:
+            # first (largest) part a, remaining n-1 parts each <= a
+            lo = -(-total // n)  # ceil: largest part is at least the average
+            memo[key] = [(a,) + rest for a in range(lo, min(max_part, total - (n - 1)) + 1)
+                         for rest in _partitions_into(total - a, n - 1, a, memo)]
+    return memo[key]
 
 
 def admissible_partitions(p: int, k: int, R: int) -> list[PartitionType]:
@@ -108,9 +111,9 @@ def admissible_partitions(p: int, k: int, R: int) -> list[PartitionType]:
     if k == 1:
         return [PartitionType((R,))]
     n_max = (p**k - 1) // (p - 1)
-    out = []
+    out, memo = [], {}
     for n in range(k, min(n_max, R) + 1):
-        for parts in _partitions_into(R, n, R - k):
+        for parts in _partitions_into(R, n, R - k, memo):
             if n == k and parts[-1] < 2:
                 continue
             out.append(PartitionType(parts))

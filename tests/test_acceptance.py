@@ -32,7 +32,7 @@ from topotype.crosscheck import (
     gaussian_binomial,
 )
 from topotype.exact import binomial
-from topotype.oracle import count_orbits, rank1_orbit_count
+from topotype.oracle import count_orbits
 from topotype.partitions import PartitionType, admissible_partitions
 from topotype.tables import (
     PolynomialFitError,
@@ -305,7 +305,7 @@ def test_criterion_4_rank1_oracle_equivalence():
     checks = 0
     for p in (2, 3, 5, 7, 11, 13):
         for R in range(3, 11):
-            got = rank1_orbit_count(p, R)
+            got = count_orbits(p, 1, R).total
             want = count_types_rank1(R, p).T
             assert got == want, (p, R, got, want)
             checks += 1

@@ -164,14 +164,20 @@ def test_verify_json_roundtrip(capsys):
 
 
 def test_verify_skips_on_guard(capsys):
-    code, out, _ = run(capsys, "verify", "--p", "13", "--k", "2", "--R", "8")
+    code, out, _ = run(capsys, "verify", "--p", "13", "--k", "2", "--R", "3,8")
     assert code == 0
     assert "SKIPPED p=13 R=8" in out
+    assert "PASS p=13 R=3 total" in out
     assert "skipped: 1" in out
-    code, out, _ = run(capsys, "verify", "--p", "5", "--k", "2", "--R", "4",
-                       "--guard-steps", "10")
-    assert code == 0
-    assert "SKIPPED" in out
+    # every case skipped: nothing was checked, so the run must not pass
+    for argv in (("--p", "13", "--R", "8"), ("--p", "5", "--R", "4", "--guard-steps", "10")):
+        code, out, err = run(capsys, "verify", "--k", "2", *argv)
+        assert code == 2
+        assert "SKIPPED" in out
+        assert "failures: 0  skipped: 1" in out
+        assert "error: verify checked no case; every case was SKIPPED by the guards" in err
+    code, _, _ = run(capsys, "verify", "--p", "5", "--k", "2", "--R", "4,20")
+    assert code == 1  # one case skipped, the other checked: the failures decide
 
 
 def test_verify_reaches_p11(capsys):
@@ -194,11 +200,23 @@ def test_verify_bad_R_exits_with_reason(capsys):
 
 
 def test_cli_import_does_not_load_numpy():
+    # count, total and --help load only cli, counting, partitions and exact;
+    # the oracle is registered unrun (cli._lazy_module), so none of its code
+    # has run, and tables, crosscheck and numpy are not imported at all
     src = str(Path(topotype.__file__).resolve().parents[1])
-    probe = "import sys, topotype.cli; print('numpy' in sys.modules)"
+    probe = ("import sys, topotype.cli\n"
+             "oracle = sys.modules['topotype.oracle']\n"
+             "print(sorted(name for name in sys.modules if name.startswith('topotype')"
+             " or name == 'numpy'))\n"
+             "print('count_orbits' in object.__getattribute__(oracle, '__dict__'))\n"
+             "print(oracle.count_orbits.__module__, 'numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert result.stdout.strip() == "False"
+    loaded, oracle_ran, after_use = result.stdout.splitlines()
+    assert loaded == str(["topotype", "topotype.cli", "topotype.counting", "topotype.exact",
+                          "topotype.oracle", "topotype.partitions"])
+    assert oracle_ran == "False"
+    assert after_use == "topotype.oracle False"  # the first lookup runs it; numpy stays lazy
 
 
 def test_table_plain(capsys):

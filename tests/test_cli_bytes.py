@@ -5,7 +5,9 @@ every format: those of count, total and verify were taken before the three
 subcommands shared one renderer, those of ``table --primes`` before every
 table row was fitted from the automatic prime pool (``table --R 9 --primes
 5,7,11,13`` is too short a list to fit several rows); any change to what
-they print shows here.  ``verify --format csv`` is checked against the JSON
+they print shows here.  The four ``verify`` lines whose every case is
+``SKIPPED`` were re-pinned when such a run began to exit 2; their stdout
+is unchanged.  ``verify --format csv`` is checked against the JSON
 results instead.
 """
 
@@ -105,10 +107,10 @@ PINNED = [
     ("verify --p 3,5 --k 1 --R 3..6 --format json", "460dc358864ef24173dbdc933fbcf73dd6ed38c33684a6ddc6bd7be871ae4fc2"),
     ("verify --p 2 --k 1 --R 3..6 --format plain", "c9f7ac66f73b633c5e3e1f2942f1aba82e8366f55c2a4187205916ffb05ef023"),
     ("verify --p 2 --k 1 --R 3..6 --format json", "da1899fd3ea08c586a0dccf95c0f6814a7f8a2d0c6379bf534d1591290e0f289"),
-    ("verify --p 13 --k 2 --R 8 --format plain", "d4a3a3e6479b58d8e3b44d3d2f6bae5509b0ba1d7897141fe9c18be91ffeffeb"),
-    ("verify --p 13 --k 2 --R 8 --format json", "dbc019cb7e9dab2c1f6de515f59602baed03956877a0803740c1885085a65fdc"),
-    ("verify --p 5 --k 2 --R 4 --guard-steps 10 --format plain", "f5681ed49efd973e4bdbc35c0b04a391714ef092f5395f7076de6d1381b07933"),
-    ("verify --p 5 --k 2 --R 4 --guard-steps 10 --format json", "9ec5e46fbdb3637d02aad006d5ba1984b84a5fc0ddf4c052204357a54df1010d"),
+    ("verify --p 13 --k 2 --R 8 --format plain", "083e5f0f8d85c09c14c709155c76f547a82b1cca6bd69b87c65d43b825dfca2b"),
+    ("verify --p 13 --k 2 --R 8 --format json", "4c385cefcc8cf5a3f4b97dad274735a62b9d7e7571e5d27c10200f3463fbaaf4"),
+    ("verify --p 5 --k 2 --R 4 --guard-steps 10 --format plain", "19ddad0ed2998caed4c42cadb6b5559c9b4dd21ac9daaeec0464ba4ea0499484"),
+    ("verify --p 5 --k 2 --R 4 --guard-steps 10 --format json", "8210b8a4011bd92d06424a4fc22b9e2892b46ce98c2ff077ac770720d647e6b7"),
     ("verify --p 5 --k 1 --R 2 --format plain", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("verify --p 5 --k 1 --R 2 --format json", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("verify --p 5 --k 2 --R 6..3 --format plain", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),

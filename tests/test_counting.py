@@ -213,10 +213,23 @@ def test_total_types_tests_primality_once(monkeypatch):
     prime_tests = _count_calls(monkeypatch, exact.is_prime)
     part_calls = _count_calls(monkeypatch, crosscheck.part_wz)
     block_calls = _count_calls(monkeypatch, crosscheck.block_wz)
+    binomials = _count_calls(monkeypatch, exact.binomial)
     report = total_types(1000003, 2, 30)
     assert len(report.reports) == 5602
     assert len(prime_tests) <= 2
     assert part_calls == [] and block_calls == []
+    # each of the 28 distinct parts' values and each n's marking count are
+    # computed once, not once per partition (61,350 calls when they were)
+    assert len(binomials) <= 300
+
+
+@pytest.mark.parametrize("p", [3, 7, 101, 1000003])
+def test_total_types_reports_match_count_types_rank2(p):
+    # total_types shares one table of per-part values across its partitions;
+    # each report equals the count made from that partition's own table
+    for R in range(3, 15):
+        for report in total_types(p, 2, R).reports:
+            assert report == count_types_rank2(report.partition, p), (p, R, report.partition)
 
 
 def test_count_types_tests_primality_once_per_call(monkeypatch):

@@ -18,7 +18,6 @@ from topotype.oracle import (
     gl_matrices,
     group_order,
     nonzero_vectors,
-    rank1_orbit_count,
 )
 from topotype.partitions import PartitionType, admissible_partitions
 
@@ -225,11 +224,11 @@ def test_canonical_form_is_the_full_group_minimum(data):
 
 
 def test_rank1_orbit_counts_match_formula():
-    assert rank1_orbit_count(3, 4) == 1
-    assert rank1_orbit_count(2, 6) == 1
-    assert rank1_orbit_count(2, 5) == 0
-    assert rank1_orbit_count(3, 7) == count_types_rank1(7, 3).T == 1
-    assert rank1_orbit_count(7, 3) == count_types_rank1(3, 7).T == 2
+    assert count_orbits(3, 1, 4).total == 1
+    assert count_orbits(2, 1, 6).total == 1
+    assert count_orbits(2, 1, 5).total == 0
+    assert count_orbits(3, 1, 7).total == count_types_rank1(7, 3).T == 1
+    assert count_orbits(7, 1, 3).total == count_types_rank1(3, 7).T == 2
 
 
 def test_guard_multiset_limit():

@@ -149,7 +149,7 @@ PACKAGE_EXPORTS = (
     "distribution_bruteforce", "divisors_greater_than_one", "enumerate_generating_sets",
     "euler_phi", "fit_partition_polynomial", "full_distribution", "gaussian_binomial",
     "genus_of", "interpolate", "klein_type_count", "marking_count", "multichoose",
-    "parse_partition", "part_wz", "rank1_orbit_count", "row_counts", "total_types",
+    "parse_partition", "part_wz", "row_counts", "total_types",
 )
 
 
