@@ -10,11 +10,11 @@ import importlib
 
 _EXPORTS = {
     "counting": ("CountReport", "TotalReport", "card_A", "count_types_rank1",
-                 "count_types_rank2", "klein_type_count", "total_types"),
+                 "count_types_rank2", "total_types"),
     "crosscheck": ("Distribution", "GaussianBinomial", "PartWZ", "block_wz", "card_A_base2",
                    "card_A_base3", "card_A_shortcut", "card_A_unitary", "count_types_klein",
                    "distribution_bruteforce", "full_distribution", "gaussian_binomial",
-                   "part_wz", "row_counts"),
+                   "klein_type_count", "part_wz", "row_counts"),
     "exact": ("RationalPolynomial", "binomial", "divisors_greater_than_one", "euler_phi",
               "interpolate", "multichoose"),
     "oracle": ("GuardExceeded", "OrbitTable", "classify_partition", "count_orbits",

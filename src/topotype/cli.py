@@ -13,7 +13,7 @@ import importlib.util
 import json
 import sys
 
-from .counting import count_types_rank1, count_types_rank2, klein_type_count, total_types
+from .counting import count_types_rank1, count_types_rank2, total_types
 from .exact import is_prime
 from .partitions import (
     ActionParams,
@@ -112,7 +112,7 @@ def cmd_count(args) -> int:
     if k == 1:
         report = count_types_rank1(R, p)
     elif p == 2:
-        t = total_types(2, 2, R).total if part is None else klein_type_count(part)
+        t = total_types(2, 2, R).total if part is None else count_types_rank2(part, 2).T
     elif part is None:
         raise ValueError("for rank 2 and odd p give --partition; 'total' sums all partitions")
     else:

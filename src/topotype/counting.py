@@ -6,9 +6,11 @@ a Burnside average over the scalar group F_p^* (with correction terms for
 scalars of each order d' > 1 dividing every part) and the marking
 multiplier binomial(p-2, n-3).
 
-Rank 1 uses the same machinery on a single-rowed multiset; p = 2 rank 2
-reduces to a parity rule on the partition (three parts of equal parity or
-two even parts admit exactly one type, anything else none).
+One formula serves every prime and both ranks.  Rank 1 is the one-part
+case {R}: |A| = W_R and the multiplier is 1.  At p = 2 every b_P is 1, so
+W_P = [P even] and Z_P = [P odd], there are no scalar corrections and the
+multiplier is 1: T = |A| is the Klein parity rule, which ``crosscheck``
+keeps as an independent reference.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ def _as_parts(partition) -> tuple:
     return tuple(int(x) for x in partition)
 
 
-def _check_odd_prime(p: int) -> None:
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p = {p}: need an odd prime")
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p = {p}: need an odd prime or 2")
 
 
 def _unit_sign(P: int, p: int) -> int:
@@ -83,14 +85,15 @@ def _values(p: int, parts, ns) -> tuple:
     distinct part P and once per number of parts n: P -> (b_P, sign, W_P,
     Z_P), with b_P = binomial(P+p-2, P) and sign as in ``_unit_sign``;
     P -> {d': multichoose(P/d', (p-1)/d')} for each d' > 1 dividing P and
-    p-1, the Burnside factors; and n -> marking_count(p, n)."""
+    p-1, the Burnside factors, keyed by d' ascending; and n ->
+    marking_count(p, n), or 1 for the single part of rank 1."""
     part_wz, burnside = {}, {}
     for P in set(parts):
         b, sign = binomial(P + p - 2, P), _unit_sign(P, p)
         part_wz[P] = (b, sign, *_wz(b, sign, p))
         burnside[P] = {dp: multichoose(P // dp, (p - 1) // dp)
                        for dp in divisors_greater_than_one(math.gcd(p - 1, P))}
-    return part_wz, burnside, {n: marking_count(p, n) for n in ns}
+    return part_wz, burnside, {n: marking_count(p, n) if n > 1 else 1 for n in ns}
 
 
 def card_A(partition, p: int) -> int:
@@ -118,13 +121,13 @@ def card_A(partition, p: int) -> int:
     _check_part_count(len(parts), p)
     if min(parts) < 0:
         raise ValueError("part must be nonnegative")
-    _check_odd_prime(p)
+    _check_prime(p)
     return _card_A(parts, _values(p, parts, ())[0], p)
 
 
 def _card_A(parts: tuple, part_wz: dict, p: int) -> int:
-    """``card_A`` for checked parts and an odd prime p, reading each part's
-    (b_P, sign, W_P, Z_P) from ``part_wz``."""
+    """``card_A`` for checked parts (one part gives its W) and a prime p,
+    reading each part's (b_P, sign, W_P, Z_P) from ``part_wz``."""
     wz = [part_wz[P] for P in parts]
     i = len(parts) - 2
     if len(parts) % 2:
@@ -146,88 +149,59 @@ def _card_A(parts: tuple, part_wz: dict, p: int) -> int:
     return r
 
 
-def _burnside_terms(parts, burnside: dict, p: int) -> tuple:
+def _burnside_terms(parts, burnside: dict) -> tuple:
     """Correction terms of the scalar Burnside average: for each d' > 1
     dividing every part and p-1, the scalars of order d' fix
-    prod_i multichoose(P_i/d', (p-1)/d') matrices, phi(d') of them; the
-    factors are read from ``burnside`` (see ``_values``)."""
-    terms = []
-    for dp_ in divisors_greater_than_one(math.gcd(p - 1, *parts)):
-        fixed = 1
-        for P in parts:
-            fixed *= burnside[P][dp_]
-        terms.append((dp_, euler_phi(dp_) * fixed))
-    return tuple(terms)
+    prod_i multichoose(P_i/d', (p-1)/d') matrices, phi(d') of them.  The d'
+    are the last part's keys in ``burnside`` (see ``_values``) that every
+    part shares, in ascending order, and the factors are read from it."""
+    return tuple((dp, euler_phi(dp) * math.prod(burnside[P][dp] for P in parts))
+                 for dp in burnside[parts[-1]] if all(dp in burnside[P] for P in parts))
 
 
 def count_types_rank2(partition, p: int) -> CountReport:
-    """Type count for a rank-2 action with the given partition, odd p.
+    """Type count for a rank-2 action with the given partition, any prime p.
 
     T = binomial(p-2, n-3) * (|A| + corrections) / (p-1): Burnside over the
     scalar group for one marking, times the number of markings.
     """
-    _check_odd_prime(p)
+    _check_prime(p)
     part = partition if isinstance(partition, PartitionType) else PartitionType(_as_parts(partition))
     _check_part_count(part.n, p)
-    return _count_types_rank2(part, p, _values(p, part.parts, (part.n,)))
+    return _count(part, p, _values(p, part.parts, (part.n,)))
 
 
-def _count_types_rank2(part: PartitionType, p: int, values: tuple) -> CountReport:
-    """``count_types_rank2`` for an odd prime p and a part count the caller
-    has already checked, reading per-part and per-n values from ``values``."""
+def _count(part: PartitionType, p: int, values: tuple) -> CountReport:
+    """The type count of ``part`` at a prime p, for either rank, reading
+    per-part and per-n values from ``values``; the caller has checked p and
+    the part count."""
     part_wz, burnside, marks = values
     a = _card_A(part.parts, part_wz, p)
-    terms = _burnside_terms(part.parts, burnside, p)
+    terms = _burnside_terms(part.parts, burnside)
     marked_classes = exact_div(a + sum(c for _, c in terms), p - 1)
     mark = marks[part.n]
     return CountReport(part, p, a, terms, mark, mark * marked_classes)
 
 
 def count_types_rank1(R: int, p: int) -> CountReport:
-    """Type count for rank 1: Burnside over F_p^* on single-rowed multisets.
-
-    For p = 2 there is one action for even R and none for odd R.
+    """Type count for rank 1: the one-part case {R} of the same formula,
+    Burnside over F_p^* on single-rowed multisets with |A| = W_R and
+    multiplier 1 (at p = 2, one action for even R and none for odd R).
     """
     if R < 3:
         raise ValueError("need R >= 3")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    _check_prime(p)
     part = PartitionType((R,))
-    if p == 2:
-        t = 1 if R % 2 == 0 else 0
-        return CountReport(part, p, t, (), 1, t)
-    part_wz, burnside, _ = _values(p, (R,), ())
-    w = part_wz[R][2]
-    terms = _burnside_terms((R,), burnside, p)
-    t = exact_div(w + sum(c for _, c in terms), p - 1)
-    return CountReport(part, p, w, terms, 1, t)
-
-
-def klein_type_count(partition) -> int:
-    """Number of types (0 or 1) of a Klein 4-group partition: one iff three
-    parts of equal parity or two even parts."""
-    parts = _as_parts(partition)
-    if len(parts) == 3:
-        return 1 if len({P % 2 for P in parts}) == 1 else 0
-    if len(parts) == 2:
-        return 1 if all(P % 2 == 0 for P in parts) else 0
-    return 0
+    return _count(part, p, _values(p, part.parts, (1,)))
 
 
 def total_types(p: int, k: int, R: int) -> TotalReport:
     """Sum of type counts over all admissible partitions of (p, k, R)."""
     if k not in (1, 2):
         raise ValueError(f"k = {k}: only ranks 1 and 2 are supported")
-    if k == 1:
-        reports = (count_types_rank1(R, p),)
-    elif p == 2:
-        reports = tuple(
-            CountReport(part, 2, klein_type_count(part), (), 1, klein_type_count(part))
-            for part in admissible_partitions(2, 2, R)
-        )
-    else:
-        _check_odd_prime(p)
-        partitions = admissible_partitions(p, 2, R)
-        values = _values(p, range(1, R - 1), {part.n for part in partitions})
-        reports = tuple(_count_types_rank2(part, p, values) for part in partitions)
+    _check_prime(p)
+    partitions = admissible_partitions(p, k, R)
+    values = _values(p, set().union(*(part.parts for part in partitions)),
+                     {part.n for part in partitions})
+    reports = tuple(_count(part, p, values) for part in partitions)
     return TotalReport(p, k, R, reports, sum(r.T for r in reports))

@@ -3,7 +3,8 @@
 The acceptance suite compares the production counts with these: the base,
 shortcut and unitary forms of |A|, the public (W, Z) counts of a part or
 block, the dynamic-programming and literal distributions of weighted entry
-sums, the Klein total by direct enumeration, and the Gaussian binomials.
+sums, the Klein parity rule per partition and the Klein total by direct
+enumeration, and the Gaussian binomials.
 
 The distributions count matrices of nonnegative integers with one row per
 part, row i summing to P_i (optionally with a forced zero first column),
@@ -20,8 +21,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .counting import _as_parts, _check_odd_prime, _check_part_count, _unit_sign, _wz
-from .exact import binomial, exact_div, multichoose
+from .counting import _as_parts, _check_part_count, _unit_sign, _wz
+from .exact import binomial, exact_div, is_prime, multichoose
 from .oracle import DEFAULT_MULTISET_LIMIT, GuardExceeded
 
 
@@ -47,6 +48,11 @@ class Distribution:
     """Counts per residue class alpha = 0..p-1."""
 
     counts: tuple
+
+
+def _check_odd_prime(p: int) -> None:
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p = {p}: need an odd prime")
 
 
 def row_counts(P: int, p: int) -> RowCounts:
@@ -218,6 +224,17 @@ def card_A_unitary(n: int, p: int) -> int:
             w = z - 1
             r = (p - 1) * z - w + r
     return r
+
+
+def klein_type_count(partition) -> int:
+    """Number of types (0 or 1) of a Klein 4-group partition: one iff three
+    parts of equal parity or two even parts."""
+    parts = _as_parts(partition)
+    if len(parts) == 3:
+        return 1 if len({P % 2 for P in parts}) == 1 else 0
+    if len(parts) == 2:
+        return 1 if all(P % 2 == 0 for P in parts) else 0
+    return 0
 
 
 def count_types_klein(R: int) -> int:

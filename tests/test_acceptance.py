@@ -20,7 +20,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from topotype.counting import card_A, count_types_rank1, count_types_rank2, klein_type_count
+from topotype.counting import card_A, count_types_rank1, count_types_rank2
 from topotype.crosscheck import (
     card_A_base2,
     card_A_base3,
@@ -30,6 +30,7 @@ from topotype.crosscheck import (
     distribution_bruteforce,
     full_distribution,
     gaussian_binomial,
+    klein_type_count,
 )
 from topotype.exact import binomial
 from topotype.oracle import count_orbits
@@ -316,15 +317,17 @@ def test_criterion_4_rank1_oracle_equivalence():
 
 
 def test_criterion_5_klein_counts():
-    """Klein 4-group (p=2, k=2) parity-rule counts vs exhaustive orbit
-    counts, R = 3..10, per partition and in total."""
+    """Klein 4-group (p=2, k=2) parity-rule counts and the production route
+    ``count_types_rank2(part, 2)`` vs exhaustive orbit counts, R = 3..10,
+    per partition and in total."""
     start = time.perf_counter()
     checks = 0
     for R in range(3, 11):
         table = count_orbits(2, 2, R)
         for part in admissible_partitions(2, 2, R):
             assert table.count(part) == klein_type_count(part), (R, part)
-            checks += 1
+            assert table.count(part) == count_types_rank2(part, 2).T, (R, part)
+            checks += 2
         assert table.total == count_types_klein(R), R
         checks += 1
     elapsed = time.perf_counter() - start

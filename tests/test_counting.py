@@ -10,7 +10,6 @@ from topotype.counting import (
     card_A,
     count_types_rank1,
     count_types_rank2,
-    klein_type_count,
     total_types,
 )
 from topotype.crosscheck import (
@@ -20,6 +19,7 @@ from topotype.crosscheck import (
     card_A_shortcut,
     card_A_unitary,
     count_types_klein,
+    klein_type_count,
     part_wz,
 )
 from topotype.partitions import PartitionType, admissible_partitions
@@ -145,8 +145,7 @@ def test_count_types_rank2_report_identity():
 def test_count_types_rank2_rejects_bad_p():
     with pytest.raises(ValueError):
         count_types_rank2(PartitionType((2, 2)), 4)
-    with pytest.raises(ValueError):
-        count_types_rank2(PartitionType((2, 2)), 2)
+    assert count_types_rank2(PartitionType((2, 2)), 2).T == klein_type_count((2, 2)) == 1
 
 
 def test_count_types_rank1():
@@ -190,6 +189,21 @@ def test_total_types_breakdown():
     assert total_types(3, 1, 4).total == 1
     for R in range(3, 13):
         assert total_types(2, 2, R).total == count_types_klein(R)
+
+
+def test_count_types_rank2_at_p2_is_the_klein_rule():
+    # p = 2 runs through the general formula: W_P = [P even] and Z_P = [P odd],
+    # with no Burnside terms and multiplier 1, give the Klein parity rule
+    for R in range(3, 41):
+        for part in admissible_partitions(2, 2, R):
+            report = count_types_rank2(part, 2)
+            assert report.card_A == report.T == klein_type_count(part), part
+            assert report.burnside_terms == () and report.marking_multiplier == 1, part
+        assert total_types(2, 2, R).total == count_types_klein(R), R
+    for R in range(3, 13):
+        for part in admissible_partitions(2, 2, R):
+            for order in set(itertools.permutations(part.parts)):
+                assert card_A(order, 2) == klein_type_count(part), order
 
 
 def _count_calls(monkeypatch, fn):
