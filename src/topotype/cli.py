@@ -14,14 +14,8 @@ import json
 import sys
 
 from .counting import count_types_rank1, count_types_rank2, total_types
-from .exact import is_prime
-from .partitions import (
-    ActionParams,
-    NotHyperbolicError,
-    check_admissible,
-    genus_of,
-    parse_partition,
-)
+from .partitions import (ActionParams, NotHyperbolicError, check_admissible, check_prime,
+                         genus_of, parse_partition)
 
 
 def _lazy_module(name: str):
@@ -86,11 +80,6 @@ def _header(p: int, k: int, R: int) -> dict:
     return {"p": str(p), "k": str(k), "R": str(R), "genus": genus}
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-
-
 def _csv_cell(value):
     if isinstance(value, list):
         return " ".join(":".join(v) if isinstance(v, list) else v for v in value)
@@ -99,7 +88,7 @@ def _csv_cell(value):
 
 def cmd_count(args) -> int:
     p, k, R = args.p, args.k, args.R
-    _require_prime(p)
+    check_prime(p)
     part = report = None
     if args.partition is not None:
         part = parse_partition(args.partition)
@@ -149,7 +138,6 @@ def cmd_count(args) -> int:
 
 def cmd_total(args) -> int:
     p, k, R = args.p, args.k, args.R
-    _require_prime(p)
     report = total_types(p, k, R)
     fields = _header(p, k, R)
     rows = [(r.partition, str(r.T)) for r in report.reports]
@@ -179,7 +167,6 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs at least one prime and one R (empty range?)")
     results = []
     for p in args.p:
-        _require_prime(p)
         for R in args.R:
             try:
                 table = oracle.count_orbits(p, k, R, args.guard_multisets, args.guard_steps)

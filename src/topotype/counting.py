@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import binomial, divisors_greater_than_one, euler_phi, exact_div, is_prime, multichoose
-from .partitions import PartitionType, admissible_partitions, marking_count
+from .exact import binomial, divisors_greater_than_one, euler_phi, exact_div, multichoose
+from .partitions import (ActionParams, PartitionType, admissible_partitions, check_part_count,
+                         check_prime, marking_count)
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,6 @@ def _as_parts(partition) -> tuple:
     return tuple(int(x) for x in partition)
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p = {p}: need an odd prime or 2")
-
-
 def _unit_sign(P: int, p: int) -> int:
     """b_P mod p when that residue is +1 or -1 (P congruent to 0 or 1 mod
     p), else 0: the rows of such a part equidistribute over the p classes."""
@@ -71,13 +67,6 @@ def _wz(B: int, sign: int, p: int) -> tuple:
     times (p-1)/p: W = Z + sign, W + (p-1) Z = B."""
     z = exact_div(B - sign, p)
     return z + sign, z
-
-
-def _check_part_count(n: int, p: int) -> None:
-    if n < 2:
-        raise ValueError("need at least two parts")
-    if n > p + 1:
-        raise ValueError(f"{n} parts but only {p + 1} cyclic subgroups (p={p})")
 
 
 def _values(p: int, parts, ns) -> tuple:
@@ -118,10 +107,10 @@ def card_A(partition, p: int) -> int:
     ``crosscheck.block_wz`` gives.
     """
     parts = _as_parts(partition)
-    _check_part_count(len(parts), p)
+    check_prime(p)
+    check_part_count(len(parts), p)
     if min(parts) < 0:
         raise ValueError("part must be nonnegative")
-    _check_prime(p)
     return _card_A(parts, _values(p, parts, ())[0], p)
 
 
@@ -165,9 +154,9 @@ def count_types_rank2(partition, p: int) -> CountReport:
     T = binomial(p-2, n-3) * (|A| + corrections) / (p-1): Burnside over the
     scalar group for one marking, times the number of markings.
     """
-    _check_prime(p)
+    check_prime(p)
     part = partition if isinstance(partition, PartitionType) else PartitionType(_as_parts(partition))
-    _check_part_count(part.n, p)
+    check_part_count(part.n, p)
     return _count(part, p, _values(p, part.parts, (part.n,)))
 
 
@@ -188,18 +177,14 @@ def count_types_rank1(R: int, p: int) -> CountReport:
     Burnside over F_p^* on single-rowed multisets with |A| = W_R and
     multiplier 1 (at p = 2, one action for even R and none for odd R).
     """
-    if R < 3:
-        raise ValueError("need R >= 3")
-    _check_prime(p)
+    ActionParams(p, 1, R)
     part = PartitionType((R,))
     return _count(part, p, _values(p, part.parts, (1,)))
 
 
 def total_types(p: int, k: int, R: int) -> TotalReport:
     """Sum of type counts over all admissible partitions of (p, k, R)."""
-    if k not in (1, 2):
-        raise ValueError(f"k = {k}: only ranks 1 and 2 are supported")
-    _check_prime(p)
+    ActionParams(p, k, R)
     partitions = admissible_partitions(p, k, R)
     values = _values(p, set().union(*(part.parts for part in partitions)),
                      {part.n for part in partitions})

@@ -21,9 +21,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .counting import _as_parts, _check_part_count, _unit_sign, _wz
+from .counting import _as_parts, _unit_sign, _wz
 from .exact import binomial, exact_div, is_prime, multichoose
 from .oracle import DEFAULT_MULTISET_LIMIT, GuardExceeded
+from .partitions import check_part_count
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def card_A_unitary(n: int, p: int) -> int:
     so far, with closed forms Z' = ((p-1)^{2u} - 1)/p and
     Z'' = ((p-1)^{2u+1} + 1)/p.
     """
-    _check_part_count(n, p)
+    check_part_count(n, p)
     if n == 2:
         return 0
     if n == 3:

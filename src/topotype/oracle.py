@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exact import multichoose
-from .partitions import PartitionType
+from .partitions import ActionParams, PartitionType, check_prime
 
 DEFAULT_MULTISET_LIMIT = 10**7
 DEFAULT_STEP_LIMIT = 10**10
@@ -27,14 +27,15 @@ class GuardExceeded(RuntimeError):
     """Enumeration refused: the estimated work exceeds the feasibility guard."""
 
 
-def _check_shape(k: int, R: int) -> None:
-    if k not in (1, 2):
-        raise ValueError("only ranks 1 and 2 are supported")
-    if R < 3:
-        raise ValueError("need R >= 3")
+def _guard_encoding(p: int, k: int, R: int) -> None:
+    """An orbit is encoded as an R-digit number in base p^k-1, which must
+    stay below 2^62 to fit an int64."""
+    V = p**k - 1
+    if V**R > 2**62:
+        raise GuardExceeded(f"encoding width |V|^R = {V**R} exceeds 64-bit range")
 
 
-def _check_multisets(p: int, k: int, R: int, m: int, multiset_limit) -> None:
+def _guard_multisets(p: int, k: int, R: int, m: int, multiset_limit) -> None:
     limit = DEFAULT_MULTISET_LIMIT if multiset_limit is None else int(multiset_limit)
     if m > limit:
         raise GuardExceeded(
@@ -57,12 +58,12 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
     The estimate follows the algorithm: ``multichoose(R-1-k, p^k-1)``
     normal-form prefixes, and for each multiset one sorted R-column image
     per candidate basis, of which there are at most ``min(R(R-1), |GL_2|)``
-    for k = 2 and ``min(R, p-1)`` for k = 1.  Each orbit is encoded as an
-    R-digit number in base p^k-1, which must stay below 2^62.
+    for k = 2 and ``min(R, p-1)`` for k = 1; ``_guard_encoding`` bounds the
+    orbit codes.
     """
-    _check_shape(k, R)
+    ActionParams(p, k, R)
     m = multichoose(R - 1 - k, p**k - 1)
-    _check_multisets(p, k, R, m, multiset_limit)
+    _guard_multisets(p, k, R, m, multiset_limit)
     step_limit = DEFAULT_STEP_LIMIT if step_limit is None else int(step_limit)
     bases = min(R * (R - 1), group_order(p, k)) if k == 2 else min(R, p - 1)
     steps = m * R * bases
@@ -71,9 +72,7 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
             f"(p={p}, k={k}, R={R}): about {steps} canonicalization steps "
             f"exceeds the limit of {step_limit}"
         )
-    V = p**k - 1
-    if V**R > 2**62:
-        raise GuardExceeded(f"encoding width |V|^R = {V**R} exceeds 64-bit range")
+    _guard_encoding(p, k, R)
 
 
 def nonzero_vectors(p: int, k: int) -> list:
@@ -177,8 +176,8 @@ def _stream(p: int, k: int, R: int, fixed: tuple = ()):
 def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
     """Yield every generating column multiset (zero row sums, rank k, no zero
     columns), each exactly once, columns sorted ascending."""
-    _check_shape(k, R)
-    _check_multisets(p, k, R, multichoose(R, p**k - 1), multiset_limit)
+    ActionParams(p, k, R)
+    _guard_multisets(p, k, R, multichoose(R, p**k - 1), multiset_limit)
     vecs = nonzero_vectors(p, k)
     for rows in _stream(p, k, R):
         for row in rows.tolist():
@@ -355,6 +354,8 @@ def canonical_form(columns, p: int, k: int):
     """Canonical representative of one rank-k multiset under the full group."""
     import numpy as np
 
+    check_prime(p)
+    _guard_encoding(p, k, len(columns))
     reduced = [tuple(c % p for c in v) for v in columns]
     for v, r in zip(columns, reduced):
         if not any(r):

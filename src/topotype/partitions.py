@@ -3,6 +3,8 @@
 A partition type records, for each nontrivial cyclic subgroup appearing as a
 stabilizer, how many of the R branch points it accounts for.  Admissibility
 encodes the constraints forced by generation and the Riemann-Hurwitz count.
+This module also holds the package's one check of each input: p, k, R and
+the part count.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ class PartitionType:
     parts: tuple
 
     def __post_init__(self):
-        ps = tuple(sorted((int(x) for x in self.parts), reverse=True))
-        if not ps or any(x < 1 for x in ps):
+        ps = tuple(sorted(map(int, self.parts), reverse=True))
+        if not ps or ps[-1] < 1:
             raise ValueError("parts must be positive integers")
         object.__setattr__(self, "parts", ps)
 
@@ -56,12 +58,27 @@ class ActionParams:
     R: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        check_prime(self.p)
         if self.k not in (1, 2):
-            raise ValueError(f"rank k = {self.k} unsupported (must be 1 or 2)")
+            raise ValueError(f"k = {self.k}: only ranks 1 and 2 are supported")
         if self.R < 3:
-            raise ValueError(f"R = {self.R} too small (need R >= 3)")
+            raise ValueError(f"R = {self.R}: need R >= 3")
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is prime.  ``ActionParams`` runs it first;
+    entries that take p without a full (p, k, R) call it directly."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime: need an odd prime or 2")
+
+
+def check_part_count(n: int, p: int) -> None:
+    """Raise unless n parts can be marked with distinct cyclic subgroups of
+    Z_p^2: at least two parts, and at most the p + 1 subgroups."""
+    if n < 2:
+        raise ValueError("need at least two parts")
+    if n > p + 1:
+        raise AdmissibilityError(f"{n} parts but only {p + 1} cyclic subgroups available (p={p})")
 
 
 def genus_of(params: ActionParams) -> int:
@@ -154,12 +171,7 @@ def marking_count(p: int, n: int) -> int:
     """Number of ways to mark the parts with distinct cyclic subgroups,
     after normalizing three of them; equals binomial(p-2, n-3), taken as 1
     for n in {2, 3} so all part counts share one code path."""
-    if n < 2:
-        raise ValueError("need at least two parts")
-    if n > p + 1:
-        raise AdmissibilityError(
-            f"{n} parts but only {p + 1} cyclic subgroups available (p={p})"
-        )
+    check_part_count(n, p)
     if n <= 3:
         return 1
     return binomial(p - 2, n - 3)

@@ -355,3 +355,23 @@ def test_chunks_are_bounded(monkeypatch):
 def test_canonical_form_names_a_zero_column(zero):
     with pytest.raises(ValueError, match=rf"column \({zero[0]}, 0\) is zero mod 3"):
         canonical_form([zero, (1, 0), (0, 1)], 3, 2)
+
+
+@pytest.mark.parametrize("p", [9, 4, 1, 0])
+def test_oracle_rejects_a_non_prime_p(p):
+    calls = (lambda: count_orbits(p, 2, 4), lambda: check_feasible(p, 2, 4),
+             lambda: list(enumerate_generating_sets(p, 2, 4)),
+             lambda: canonical_form([(1, 0), (0, 1), (1, 1)], p, 2))
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"p = {p} is not prime"):
+            call()
+
+
+def test_canonical_form_applies_the_encoding_guard():
+    # (p^2 - 1)^R > 2^62: the orbit codes would overflow int64.  At
+    # p = 40009 the guard must fire before any table of the p^2 - 1
+    # vectors is built.
+    with pytest.raises(GuardExceeded, match="encoding"):
+        canonical_form([(1, 0), (0, 1)] * 5, 101, 2)
+    with pytest.raises(GuardExceeded, match="encoding"):
+        canonical_form([(1, 0), (0, 1), (1, 1)], 40009, 2)

@@ -197,3 +197,23 @@ def test_only_cli_emit_serializes():
     assert callers == {"cli._emit"}
     assert {stem for stem, names in imports.items() if names & {"csv", "json"}} == {"cli"}
     assert not imports["tables"] & {"csv", "io", "json"}
+
+
+def test_partitions_owns_the_input_checks():
+    # one home for input checks: among the production modules only
+    # partitions (the checks) and tables (its prime search and sample
+    # checks) use is_prime, and counting, oracle and cli define no
+    # _check_* or _require_* helper of their own
+    package = Path(topotype.__file__).parent
+    users, helpers = set(), set()
+    for stem in ("cli", "counting", "exact", "oracle", "partitions", "tables"):
+        for node in ast.walk(ast.parse((package / f"{stem}.py").read_text())):
+            if (isinstance(node, ast.Name) and node.id == "is_prime"
+                    or isinstance(node, ast.Attribute) and node.attr == "is_prime"
+                    or isinstance(node, ast.alias) and node.name == "is_prime"):
+                users.add(stem)
+            elif (stem in ("cli", "counting", "oracle") and isinstance(node, ast.FunctionDef)
+                    and node.name.startswith(("_check_", "_require_"))):
+                helpers.add(f"{stem}.{node.name}")
+    assert users == {"partitions", "tables"}
+    assert helpers == set()
