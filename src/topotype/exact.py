@@ -60,8 +60,7 @@ def divisors_greater_than_one(d: int) -> list[int]:
             if q != d // q:
                 large.append(d // q)
         q += 1
-    divs = small + large[::-1]
-    return [x for x in sorted(divs) if x > 1]
+    return [x for x in small + large[::-1] if x > 1]
 
 
 def is_prime(n: int) -> bool:

@@ -8,13 +8,12 @@ binomials, so agreement between the two routes is meaningful evidence.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 from .exact import multichoose
-from .partitions import ActionParams, PartitionType, check_prime
+from .partitions import ActionParams, PartitionType, check_prime, check_rank
 
 DEFAULT_MULTISET_LIMIT = 10**7
 DEFAULT_STEP_LIMIT = 10**10
@@ -76,21 +75,22 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
 
 
 def nonzero_vectors(p: int, k: int) -> list:
-    """All nonzero vectors of F_p^k, lexicographically sorted."""
+    """All nonzero vectors of F_p^k, lexicographically sorted.  The oracle
+    computes this order, never lists it: index i is the vector
+    (u, w) = divmod(i + 1, p), and for k = 1 the vector (w,), the case u = 0."""
     return [v for v in itertools.product(range(p), repeat=k) if any(v)]
 
 
 def gl_matrices(p: int, k: int) -> list:
     """All invertible k x k matrices over F_p (k = 1 or 2)."""
+    check_rank(k)
     if k == 1:
         return [((a,),) for a in range(1, p)]
-    if k == 2:
-        out = []
-        for a, b, c, d in itertools.product(range(p), repeat=4):
-            if (a * d - b * c) % p:
-                out.append(((a, b), (c, d)))
-        return out
-    raise ValueError("only ranks 1 and 2 are supported")
+    out = []
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p:
+            out.append(((a, b), (c, d)))
+    return out
 
 
 def _spread(counts):
@@ -119,8 +119,8 @@ def _runs(sizes, cap: int):
 def _stream(p: int, k: int, R: int, fixed: tuple = ()):
     """Yield every generating column multiset containing ``fixed``, in chunks.
 
-    Each chunk is an array of nondecreasing index rows into
-    ``nonzero_vectors(p, k)``, grown from at most ``_CHUNK`` prefixes.
+    Each chunk is an array of nondecreasing rows of vector indices (see
+    ``nonzero_vectors``), grown from at most ``_CHUNK`` prefixes.
     Enumeration: after the columns ``fixed``, the next R-1-len(fixed)
     columns form a nondecreasing prefix, expanded level by level; the last
     column is forced to the negated coordinate sums.  A row is kept when the
@@ -131,8 +131,7 @@ def _stream(p: int, k: int, R: int, fixed: tuple = ()):
     import numpy as np
 
     V = p**k - 1
-    coords = np.array(nonzero_vectors(p, k), dtype=np.int64)
-    x, y = coords[:, 0], coords[:, k - 1]
+    x, y = divmod(np.arange(1, V + 1), p)
     chunk = _CHUNK
     # completions[l][a]: nondecreasing l-tuples with entries >= a (capped)
     completions = [np.array([min(multichoose(l, V - a), chunk + 1) for a in range(V)])
@@ -149,7 +148,7 @@ def _stream(p: int, k: int, R: int, fixed: tuple = ()):
     def finish(cols, sx, sy, left):
         for _ in range(left):
             cols, sx, sy = expand(cols, sx, sy)
-        forced = -sx % p * p + -sy % p - 1 if k == 2 else -sx % p - 1
+        forced = -sx % p * p + -sy % p - 1
         keep = forced >= last(cols)
         rows = np.column_stack([cols, forced])[keep]
         if fixed:
@@ -178,19 +177,17 @@ def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
     columns), each exactly once, columns sorted ascending."""
     ActionParams(p, k, R)
     _guard_multisets(p, k, R, multichoose(R, p**k - 1), multiset_limit)
-    vecs = nonzero_vectors(p, k)
     for rows in _stream(p, k, R):
-        for row in rows.tolist():
-            yield tuple(vecs[i] for i in row)
+        yield from _columns(rows.tolist(), p, k)
 
 
 def _orbit_minima(arr, p: int, k: int):
     """Encoded orbit minimum of every row of ``arr`` under GL_k(F_p).
 
-    Rows are nondecreasing index tuples into ``nonzero_vectors(p, k)``; a
-    row's code is its sorted image read as base-|vecs| digits, so the
-    smallest code is the lexicographically smallest sorted image.  Rows not
-    of rank k get the largest int64.
+    Rows are nondecreasing tuples of vector indices (see
+    ``nonzero_vectors``); a row's code is its sorted image read as base
+    p^k - 1 digits, so the smallest code is the lexicographically smallest
+    sorted image.  Rows not of rank k get the largest int64.
 
     Of two sorted tuples of equal length, the smaller is the one whose
     multiplicity vector, read in vector-index order, is larger.  Index 0 is
@@ -212,10 +209,8 @@ def _orbit_minima(arr, p: int, k: int):
     n, R = arr.shape
     V = p**k - 1
     # int32 products stay exact: coordinates and entries of g are below p
-    coords = np.array(nonzero_vectors(p, k), dtype=np.int32 if p < 2**15 else np.int64)
-    inverse = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=coords.dtype)
-    x, y = coords[:, 0], coords[:, k - 1]
-    X, Y = x[arr], y[arr]
+    X, Y = divmod((arr + 1).astype(np.int32 if p < 2**15 else np.int64), p)
+    inverse = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=X.dtype)
     # multiplicity at every position, from the run lengths of the sorted rows
     flat = (arr + V * np.arange(n)[:, None]).ravel()
     starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
@@ -229,8 +224,7 @@ def _orbit_minima(arr, p: int, k: int):
         partner = np.zeros_like(top)
         partner[:, 0] = True
     else:
-        line = np.where(x, y * inverse[x] % p, p)  # projective point of each vector
-        lines = line[arr]
+        lines = np.where(X, Y * inverse[X] % p, p)
         low = np.where(top, lines, p + 1).min(axis=1)
         one_line = low == np.where(top, lines, -1).max(axis=1)
         off = np.where(lines != low[:, None], mult, 0).max(axis=1)
@@ -253,8 +247,8 @@ def _orbit_minima(arr, p: int, k: int):
             continue
         Xr, Yr = X[r], Y[r]
         if k == 1:
-            image = inverse[X[r, j]][:, None] * Xr % p
-        else:  # g = d * [[yj, -xj], [-yi, xi]]; index of (u, w) is u*p + w - 1
+            image = inverse[Y[r, j]][:, None] * Yr % p
+        else:  # g = d * [[yj, -xj], [-yi, xi]]
             xi, yi, xj, yj = X[r, i], Y[r, i], X[r, j], Y[r, j]
             d = inverse[(xi * yj - xj * yi) % p]
             g = [(d * e % p)[:, None] for e in (yj, -xj, -yi, xi)]
@@ -278,29 +272,37 @@ def _distinct(codes):
     return codes[keep]
 
 
+def _columns(rows, p: int, k: int) -> list:
+    """Column tuples of rows of vector indices (see ``nonzero_vectors``).
+    Rows share one tuple per distinct index: an orbit table keeps them all."""
+    vec = {i: divmod(i + 1, p)[2 - k:] for i in set().union(*rows)}
+    return [tuple(vec[i] for i in row) for row in rows]
+
+
 def _decode(codes, p: int, k: int, R: int) -> list:
-    """Column tuples of encoded sorted rows (base-|vecs| digits)."""
+    """Column tuples of encoded sorted rows (base p^k - 1 digits)."""
     import numpy as np
 
-    vecs = nonzero_vectors(p, k)
-    V = len(vecs)
+    V = p**k - 1
     digits = codes[:, None] // V ** np.arange(R - 1, -1, -1, dtype=np.int64) % V
-    return [tuple(vecs[i] for i in row) for row in digits.tolist()]
+    return _columns(digits.tolist(), p, k)
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _projective_point(v: tuple, p: int) -> tuple:
-    """The point of the line through v: first nonzero coordinate scaled to 1."""
-    pivot = next(c for c in v if c % p)
-    inv = pow(pivot, p - 2, p)
-    return tuple((c * inv) % p for c in v)
+def _line(v, p: int) -> int:
+    """Line of a nonzero column (u, w), or (w,) with u = 0: w/u, or p if u = 0."""
+    u, w = v if len(v) == 2 else (0, *v)
+    if u % p:
+        return w * pow(u, -1, p) % p
+    if w % p:
+        return p
+    raise ValueError(f"column {tuple(v)} is zero mod {p}")
 
 
 def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
     """Partition type of a column multiset: group columns by the cyclic
-    subgroup they span (projective normalization: first nonzero coordinate
-    scaled to 1) and take the multiset of group sizes."""
-    buckets = Counter([_projective_point(tuple(v), p) for v in columns])
+    subgroup they span (its line, see ``_line``) and take the multiset of
+    group sizes."""
+    buckets = Counter([_line(v, p) for v in columns])
     return PartitionType(tuple(sorted(buckets.values(), reverse=True)))
 
 
@@ -355,13 +357,15 @@ def canonical_form(columns, p: int, k: int):
     import numpy as np
 
     check_prime(p)
+    check_rank(k)
     _guard_encoding(p, k, len(columns))
     reduced = [tuple(c % p for c in v) for v in columns]
     for v, r in zip(columns, reduced):
+        if len(r) != k:
+            raise ValueError(f"column {tuple(v)} does not have k = {k} entries")
         if not any(r):
             raise ValueError(f"column {tuple(v)} is zero mod {p}")
-    index = {v: i for i, v in enumerate(nonzero_vectors(p, k))}
-    row = np.array([sorted(index[r] for r in reduced)], dtype=np.int64)
+    row = np.array([sorted(r[0] * p + r[1] - 1 if k == 2 else r[0] - 1 for r in reduced)])
     code = _orbit_minima(row, p, k)
     if code[0] == np.iinfo(np.int64).max:
         raise ValueError(f"columns do not span F_{p}^{k}")

@@ -59,8 +59,7 @@ class ActionParams:
 
     def __post_init__(self):
         check_prime(self.p)
-        if self.k not in (1, 2):
-            raise ValueError(f"k = {self.k}: only ranks 1 and 2 are supported")
+        check_rank(self.k)
         if self.R < 3:
             raise ValueError(f"R = {self.R}: need R >= 3")
 
@@ -70,6 +69,12 @@ def check_prime(p: int) -> None:
     entries that take p without a full (p, k, R) call it directly."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime: need an odd prime or 2")
+
+
+def check_rank(k: int) -> None:
+    """Raise ValueError unless k is a supported rank, 1 or 2."""
+    if k not in (1, 2):
+        raise ValueError(f"k = {k}: only ranks 1 and 2 are supported")
 
 
 def check_part_count(n: int, p: int) -> None:

@@ -89,8 +89,6 @@ def default_modulus(partition: PartitionType) -> int:
 
 
 def _unit_classes(modulus: int) -> list:
-    if modulus == 1:
-        return [0]
     return [c for c in range(modulus) if math.gcd(c, modulus) == 1]
 
 

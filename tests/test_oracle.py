@@ -35,12 +35,17 @@ def test_nonzero_vectors_sorted():
     vecs = nonzero_vectors(3, 2)
     assert vecs == [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
     assert nonzero_vectors(5, 1) == [(1,), (2,), (3,), (4,)]
+    # the oracle's index rule: index i is divmod(i + 1, p), (w,) for k = 1
+    for p in (2, 3, 5, 7):
+        for k in (1, 2):
+            for i, v in enumerate(nonzero_vectors(p, k)):
+                assert v == divmod(i + 1, p)[2 - k:]
 
 
 def test_gl_matrices_count():
     for p, k in ((2, 2), (3, 2), (5, 1), (5, 2)):
         assert len(gl_matrices(p, k)) == group_order(p, k)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k = 3: only ranks 1 and 2 are supported"):
         gl_matrices(3, 3)
 
 
@@ -94,6 +99,12 @@ def test_classify_partition():
     assert classify_partition(((1, 0), (2, 0), (0, 1), (0, 3)), 5) == PartitionType((2, 2))
     assert classify_partition(((1, 1), (2, 2), (3, 3), (1, 0)), 5) == PartitionType((3, 1))
     assert classify_partition(((0, 1), (1, 0), (1, 1)), 2) == PartitionType((1, 1, 1))
+
+
+@pytest.mark.parametrize("zero", [(0, 0), (3, 0)])
+def test_classify_partition_names_a_zero_column(zero):
+    with pytest.raises(ValueError, match=rf"column \({zero[0]}, 0\) is zero mod 3"):
+        classify_partition([zero, (1, 0), (0, 1)], 3)
 
 
 def test_every_enumerated_multiset_is_admissible():
@@ -357,6 +368,32 @@ def test_canonical_form_names_a_zero_column(zero):
         canonical_form([zero, (1, 0), (0, 1)], 3, 2)
 
 
+@pytest.mark.parametrize("columns,k,message", [
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], 3, "k = 3: only ranks 1 and 2"),
+    ([(1, 0), (0, 1)], 0, "k = 0: only ranks 1 and 2"),
+    ([(1, 0), (0, 1)], 1, r"column \(1, 0\) does not have k = 1 entries"),
+    ([(1, 0), (1,), (0, 1)], 2, r"column \(1,\) does not have k = 2 entries"),
+], ids=["k=3", "k=0", "long-column", "short-column"])
+def test_canonical_form_checks_k_and_column_lengths(columns, k, message):
+    with pytest.raises(ValueError, match=message):
+        canonical_form(columns, 3, k)
+
+
+def test_the_oracle_computes_vector_indices(monkeypatch):
+    # ``nonzero_vectors`` is the reference order only; no oracle entry
+    # lists the vectors to read or write an index
+    calls = (lambda: count_orbits(5, 2, 5), lambda: count_orbits(11, 1, 6),
+             lambda: canonical_form([(3, 4), (6, 1), (3, 4), (0, 5), (2, 0)], 7, 2),
+             lambda: list(enumerate_generating_sets(3, 2, 5)))
+    expected = [call() for call in calls]
+
+    def listed(p, k):
+        raise AssertionError(f"nonzero_vectors({p}, {k}) called")
+
+    monkeypatch.setattr(oracle, "nonzero_vectors", listed)
+    assert [call() for call in calls] == expected
+
+
 @pytest.mark.parametrize("p", [9, 4, 1, 0])
 def test_oracle_rejects_a_non_prime_p(p):
     calls = (lambda: count_orbits(p, 2, 4), lambda: check_feasible(p, 2, 4),
@@ -368,9 +405,8 @@ def test_oracle_rejects_a_non_prime_p(p):
 
 
 def test_canonical_form_applies_the_encoding_guard():
-    # (p^2 - 1)^R > 2^62: the orbit codes would overflow int64.  At
-    # p = 40009 the guard must fire before any table of the p^2 - 1
-    # vectors is built.
+    # (p^2 - 1)^R > 2^62: the orbit codes would overflow int64, even for
+    # the three columns at p = 40009.
     with pytest.raises(GuardExceeded, match="encoding"):
         canonical_form([(1, 0), (0, 1)] * 5, 101, 2)
     with pytest.raises(GuardExceeded, match="encoding"):
