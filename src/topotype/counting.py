@@ -6,11 +6,12 @@ a Burnside average over the scalar group F_p^* (with correction terms for
 scalars of each order d' > 1 dividing every part) and the marking
 multiplier binomial(p-2, n-3).
 
-One formula serves every prime and both ranks.  Rank 1 is the one-part
-case {R}: |A| = W_R and the multiplier is 1.  At p = 2 every b_P is 1, so
-W_P = [P even] and Z_P = [P odd], there are no scalar corrections and the
-multiplier is 1: T = |A| is the Klein parity rule, which ``crosscheck``
-keeps as an independent reference.
+One formula serves every prime and both ranks, over the partition types
+that ``partitions.admissible_partitions`` lists.  Rank 1 has one cyclic
+subgroup, so its one type {R} has one part: |A| = W_R and the multiplier
+is 1.  At p = 2 every b_P is 1, so W_P = [P even] and Z_P = [P odd], there
+are no scalar corrections and the multiplier is 1: T = |A| is the Klein
+parity rule, which ``crosscheck`` keeps as an independent reference.
 """
 
 from __future__ import annotations
@@ -173,13 +174,10 @@ def _count(part: PartitionType, p: int, values: tuple) -> CountReport:
 
 
 def count_types_rank1(R: int, p: int) -> CountReport:
-    """Type count for rank 1: the one-part case {R} of the same formula,
-    Burnside over F_p^* on single-rowed multisets with |A| = W_R and
-    multiplier 1 (at p = 2, one action for even R and none for odd R).
-    """
-    ActionParams(p, 1, R)
-    part = PartitionType((R,))
-    return _count(part, p, _values(p, part.parts, (1,)))
+    """Type count for rank 1: the report of its one admissible type {R},
+    with |A| = W_R and multiplier 1 (at p = 2, one action for even R and
+    none for odd R)."""
+    return total_types(p, 1, R).reports[0]
 
 
 def total_types(p: int, k: int, R: int) -> TotalReport:

@@ -9,6 +9,7 @@ binomials, so agreement between the two routes is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -56,16 +57,15 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
 
     The estimate follows the algorithm: ``multichoose(R-1-k, p^k-1)``
     normal-form prefixes, and for each multiset one sorted R-column image
-    per candidate basis, of which there are at most ``min(R(R-1), |GL_2|)``
-    for k = 2 and ``min(R, p-1)`` for k = 1; ``_guard_encoding`` bounds the
+    per candidate basis: an ordered choice of k of the R columns, at most
+    ``min(R!/(R-k)!, |GL_k|)`` of them; ``_guard_encoding`` bounds the
     orbit codes.
     """
     ActionParams(p, k, R)
     m = multichoose(R - 1 - k, p**k - 1)
     _guard_multisets(p, k, R, m, multiset_limit)
     step_limit = DEFAULT_STEP_LIMIT if step_limit is None else int(step_limit)
-    bases = min(R * (R - 1), group_order(p, k)) if k == 2 else min(R, p - 1)
-    steps = m * R * bases
+    steps = m * R * min(math.perm(R, k), group_order(p, k))
     if steps > step_limit:
         raise GuardExceeded(
             f"(p={p}, k={k}, R={R}): about {steps} canonicalization steps "
@@ -299,11 +299,13 @@ def _line(v, p: int) -> int:
 
 
 def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
-    """Partition type of a column multiset: group columns by the cyclic
-    subgroup they span (its line, see ``_line``) and take the multiset of
-    group sizes."""
-    buckets = Counter([_line(v, p) for v in columns])
-    return PartitionType(tuple(sorted(buckets.values(), reverse=True)))
+    """Partition type of a column multiset of rank k: group columns by the
+    cyclic subgroup they span (its line, see ``_line``) and take the
+    multiset of group sizes."""
+    for v in columns:
+        if len(v) != k:
+            raise ValueError(f"column {tuple(v)} does not have k = {k} entries")
+    return PartitionType(tuple(Counter([_line(v, p) for v in columns]).values()))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 A partition type records, for each nontrivial cyclic subgroup appearing as a
 stabilizer, how many of the R branch points it accounts for.  Admissibility
-encodes the constraints forced by generation and the Riemann-Hurwitz count.
+is one rule set for both ranks: the part count (``check_part_count``) and,
+with exactly k parts, no part 1 (``check_admissible``); rank 1, with one
+subgroup, has the single type {R}.
 This module also holds the package's one check of each input: p, k, R and
 the part count.
 """
@@ -77,13 +79,19 @@ def check_rank(k: int) -> None:
         raise ValueError(f"k = {k}: only ranks 1 and 2 are supported")
 
 
-def check_part_count(n: int, p: int) -> None:
-    """Raise unless n parts can be marked with distinct cyclic subgroups of
-    Z_p^2: at least two parts, and at most the p + 1 subgroups."""
-    if n < 2:
-        raise ValueError("need at least two parts")
-    if n > p + 1:
-        raise AdmissibilityError(f"{n} parts but only {p + 1} cyclic subgroups available (p={p})")
+def check_part_count(n: int, p: int, k: int = 2) -> None:
+    """Raise AdmissibilityError unless n parts can be marked with distinct
+    cyclic subgroups of Z_p^k: k <= n <= (p^k - 1)/(p - 1), at least one
+    part per generator and at most one per subgroup."""
+    if n < k:
+        raise AdmissibilityError(
+            f"fewer parts ({n}) than the rank (k={k}); the columns could not generate"
+        )
+    n_max = (p**k - 1) // (p - 1)
+    if n > n_max:
+        raise AdmissibilityError(
+            f"{n} parts but only {n_max} cyclic subgroups available (p={p}, k={k})"
+        )
 
 
 def genus_of(params: ActionParams) -> int:
@@ -121,21 +129,17 @@ def _partitions_into(total: int, n: int, max_part: int, memo: dict) -> list:
 
 
 def admissible_partitions(p: int, k: int, R: int) -> list[PartitionType]:
-    """All admissible partition types for (p, k, R), deterministic order.
-
-    Restrictions: k <= n <= (p^k - 1)/(p - 1); if n = k every part >= 2;
-    no part exceeds R - k.  For k = 1 the single part {R} is the unique
-    type (every branch point has the full cyclic group as stabilizer).
-    Ordered by part count, then ascending lexicographically.
+    """All admissible partition types for (p, k, R), deterministic order:
+    the partitions of R that ``check_admissible`` accepts.  For k = 1 the
+    one subgroup gives the single type {R}.  Ordered by part count, then
+    ascending lexicographically.
     """
     if R < 3:
         raise ValueError("need R >= 3")
-    if k == 1:
-        return [PartitionType((R,))]
     n_max = (p**k - 1) // (p - 1)
     out, memo = [], {}
     for n in range(k, min(n_max, R) + 1):
-        for parts in _partitions_into(R, n, R - k, memo):
+        for parts in _partitions_into(R, n, R, memo):
             if n == k and parts[-1] < 2:
                 continue
             out.append(PartitionType(parts))
@@ -143,32 +147,14 @@ def admissible_partitions(p: int, k: int, R: int) -> list[PartitionType]:
 
 
 def check_admissible(partition: PartitionType, p: int, k: int) -> None:
-    """Raise AdmissibilityError naming the violated restriction, if any."""
-    n, R = partition.n, partition.R
-    if k == 1:
-        if n != 1:
-            raise AdmissibilityError("rank 1 actions have a single part {R}")
-        return
-    n_max = (p**k - 1) // (p - 1)
-    if n < k:
-        raise AdmissibilityError(
-            f"{partition}: fewer parts ({n}) than the rank ({k}); "
-            "the columns could not generate"
-        )
-    if n > n_max:
-        raise AdmissibilityError(
-            f"{partition}: {n} parts but only {n_max} distinct cyclic "
-            f"subgroups exist for p={p}, k={k}"
-        )
-    if n == k and min(partition.parts) < 2:
+    """Raise AdmissibilityError naming the violated restriction, if any: the
+    part count of ``check_part_count``, and with exactly k parts no part 1
+    (a single column in a direction cannot have zero row sum)."""
+    check_part_count(partition.n, p, k)
+    if partition.n == k and partition.parts[-1] < 2:
         raise AdmissibilityError(
             f"{partition}: with exactly k={k} parts every part must be >= 2 "
             "(a single column in a direction cannot have zero row sum)"
-        )
-    if max(partition.parts) > R - k:
-        raise AdmissibilityError(
-            f"{partition}: largest part {max(partition.parts)} exceeds "
-            f"R - k = {R - k}"
         )
 
 
@@ -197,6 +183,4 @@ def parse_partition(text: str) -> PartitionType:
             parts.extend([base] * exp)
         else:
             parts.append(int(token))
-    if any(x < 1 for x in parts):
-        raise ValueError(f"parts must be positive in {text!r}")
     return PartitionType(tuple(parts))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ def test_classify_partition():
 def test_classify_partition_names_a_zero_column(zero):
     with pytest.raises(ValueError, match=rf"column \({zero[0]}, 0\) is zero mod 3"):
         classify_partition([zero, (1, 0), (0, 1)], 3)
+
+
+@pytest.mark.parametrize("columns, k, bad", [
+    ([(1, 0, 0), (0, 1, 0)], 2, (1, 0, 0)),
+    ([(1, 0), (1,), (0, 1)], 2, (1,)),
+    ([(1,), (0, 1)], 1, (0, 1)),
+])
+def test_classify_partition_names_a_column_of_the_wrong_length(columns, k, bad):
+    with pytest.raises(ValueError, match=rf"column {re.escape(str(bad))} does not have k = {k}"):
+        classify_partition(columns, 3, k)
 
 
 def test_every_enumerated_multiset_is_admissible():

@@ -7,6 +7,7 @@ from topotype.partitions import (
     PartitionType,
     admissible_partitions,
     check_admissible,
+    check_part_count,
     genus_of,
     marking_count,
     parse_partition,
@@ -155,6 +156,35 @@ def test_check_admissible_reports_violation():
         check_admissible(PartitionType((2, 2)), p=5, k=1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_check_part_count_both_ranks(p):
+    # k <= n <= (p^k - 1)/(p - 1): rank 1 has one subgroup, rank 2 has p + 1
+    check_part_count(1, p, 1)
+    check_part_count(2, p)
+    check_part_count(p + 1, p)
+    with pytest.raises(AdmissibilityError, match="only 1 cyclic subgroups"):
+        check_part_count(2, p, 1)
+    with pytest.raises(AdmissibilityError, match="fewer parts"):
+        check_part_count(1, p)
+    with pytest.raises(AdmissibilityError, match=f"only {p + 1} cyclic subgroups"):
+        check_part_count(p + 2, p)
+
+
+def test_admissible_partitions_are_what_check_admissible_accepts():
+    for p in (2, 3, 5, 7, 11):
+        for k in (1, 2):
+            for R in range(3, 13):
+                accepted = []
+                for parts in _plain_partitions(R):
+                    try:
+                        check_admissible(PartitionType(parts), p, k)
+                    except AdmissibilityError:
+                        continue
+                    accepted.append(parts)
+                got = [part.parts for part in admissible_partitions(p, k, R)]
+                assert got == sorted(accepted, key=lambda t: (len(t), t))
+
+
 def test_marking_count():
     assert marking_count(p=5, n=2) == 1
     assert marking_count(p=5, n=3) == 1
@@ -177,3 +207,5 @@ def test_parse_partition():
         parse_partition("2^0")
     with pytest.raises(ValueError):
         parse_partition("")
+    with pytest.raises(ValueError):
+        parse_partition("1,-2")

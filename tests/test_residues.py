@@ -203,11 +203,16 @@ def test_partitions_owns_the_input_checks():
     # one home for input checks: among the production modules only
     # partitions (the checks) and tables (its prime search and sample
     # checks) use is_prime, and counting, oracle and cli define no
-    # _check_* or _require_* helper of their own
+    # _check_* or _require_* helper of their own; only partitions raises
+    # AdmissibilityError
     package = Path(topotype.__file__).parent
-    users, helpers = set(), set()
+    users, helpers, raisers = set(), set(), set()
     for stem in ("cli", "counting", "exact", "oracle", "partitions", "tables"):
         for node in ast.walk(ast.parse((package / f"{stem}.py").read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "AdmissibilityError":
+                    raisers.add(stem)
             if (isinstance(node, ast.Name) and node.id == "is_prime"
                     or isinstance(node, ast.Attribute) and node.attr == "is_prime"
                     or isinstance(node, ast.alias) and node.name == "is_prime"):
@@ -217,3 +222,4 @@ def test_partitions_owns_the_input_checks():
                 helpers.add(f"{stem}.{node.name}")
     assert users == {"partitions", "tables"}
     assert helpers == set()
+    assert raisers == {"partitions"}
