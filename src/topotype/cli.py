@@ -13,7 +13,7 @@ import importlib.util
 import json
 import sys
 
-from .counting import count_types_rank1, count_types_rank2, total_types
+from .counting import count_types_rank2, total_types
 from .partitions import (ActionParams, NotHyperbolicError, check_admissible, check_prime,
                          genus_of, parse_partition)
 
@@ -87,9 +87,11 @@ def _csv_cell(value):
 
 
 def cmd_count(args) -> int:
+    """The count of one partition, or the sum over every admissible one of
+    R; the audit fields show the one report, except at p = 2 with rank 2."""
     p, k, R = args.p, args.k, args.R
     check_prime(p)
-    part = report = None
+    part = None
     if args.partition is not None:
         part = parse_partition(args.partition)
         if R is not None and R != part.R:
@@ -98,17 +100,15 @@ def cmd_count(args) -> int:
         check_admissible(part, p, k)
     elif R is None:
         raise ValueError("count needs --partition or --R")
-    if k == 1:
-        report = count_types_rank1(R, p)
-    elif p == 2:
-        t = total_types(2, 2, R).total if part is None else count_types_rank2(part, 2).T
-    elif part is None:
+    elif k == 2 and p > 2:
         raise ValueError("for rank 2 and odd p give --partition; 'total' sums all partitions")
-    else:
-        report = count_types_rank2(part, p)
+    reports = ((count_types_rank2(part, p),) if part is not None and k == 2
+               else total_types(p, k, R).reports)
+    t = sum(r.T for r in reports)
+    report = None if (p, k) == (2, 2) else reports[0]
     record = _header(p, k, R)
     if report is not None:
-        part, t = report.partition, report.T
+        part = report.partition
         record.update(
             card_A=str(report.card_A),
             burnside_terms=[[str(d), str(c)] for d, c in report.burnside_terms],

@@ -8,10 +8,10 @@ multiplier binomial(p-2, n-3).
 
 One formula serves every prime and both ranks, over the partition types
 that ``partitions.admissible_partitions`` lists.  Rank 1 has one cyclic
-subgroup, so its one type {R} has one part: |A| = W_R and the multiplier
-is 1.  At p = 2 every b_P is 1, so W_P = [P even] and Z_P = [P odd], there
-are no scalar corrections and the multiplier is 1: T = |A| is the Klein
-parity rule, which ``crosscheck`` keeps as an independent reference.
+subgroup, so its one type {R} has one part: |A| = W_R, and the multiplier
+``marking_count(p, 1, 1)`` is 1.  At p = 2 every b_P is 1, so W_P =
+[P even] and Z_P = [P odd]; with no scalar correction and multiplier 1,
+T = |A| is the Klein parity rule, ``crosscheck``'s independent reference.
 """
 
 from __future__ import annotations
@@ -70,20 +70,20 @@ def _wz(B: int, sign: int, p: int) -> tuple:
     return z + sign, z
 
 
-def _values(p: int, parts, ns) -> tuple:
+def _values(p: int, parts, ns, k: int = 2) -> tuple:
     """The values one call shares across its partitions, computed once per
     distinct part P and once per number of parts n: P -> (b_P, sign, W_P,
     Z_P), with b_P = binomial(P+p-2, P) and sign as in ``_unit_sign``;
     P -> {d': multichoose(P/d', (p-1)/d')} for each d' > 1 dividing P and
     p-1, the Burnside factors, keyed by d' ascending; and n ->
-    marking_count(p, n), or 1 for the single part of rank 1."""
+    marking_count(p, n, k) for rank k."""
     part_wz, burnside = {}, {}
     for P in set(parts):
         b, sign = binomial(P + p - 2, P), _unit_sign(P, p)
         part_wz[P] = (b, sign, *_wz(b, sign, p))
         burnside[P] = {dp: multichoose(P // dp, (p - 1) // dp)
                        for dp in divisors_greater_than_one(math.gcd(p - 1, P))}
-    return part_wz, burnside, {n: marking_count(p, n) if n > 1 else 1 for n in ns}
+    return part_wz, burnside, {n: marking_count(p, n, k) for n in ns}
 
 
 def card_A(partition, p: int) -> int:
@@ -185,6 +185,6 @@ def total_types(p: int, k: int, R: int) -> TotalReport:
     ActionParams(p, k, R)
     partitions = admissible_partitions(p, k, R)
     values = _values(p, set().union(*(part.parts for part in partitions)),
-                     {part.n for part in partitions})
+                     {part.n for part in partitions}, k)
     reports = tuple(_count(part, p, values) for part in partitions)
     return TotalReport(p, k, R, reports, sum(r.T for r in reports))

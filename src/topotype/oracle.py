@@ -174,9 +174,9 @@ def _stream(p: int, k: int, R: int, fixed: tuple = ()):
 
 def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
     """Yield every generating column multiset (zero row sums, rank k, no zero
-    columns), each exactly once, columns sorted ascending."""
+    columns) once, columns ascending; the guard counts the stream's prefixes."""
     ActionParams(p, k, R)
-    _guard_multisets(p, k, R, multichoose(R, p**k - 1), multiset_limit)
+    _guard_multisets(p, k, R, multichoose(R - 1, p**k - 1), multiset_limit)
     for rows in _stream(p, k, R):
         yield from _columns(rows.tolist(), p, k)
 

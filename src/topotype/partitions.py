@@ -158,11 +158,11 @@ def check_admissible(partition: PartitionType, p: int, k: int) -> None:
         )
 
 
-def marking_count(p: int, n: int) -> int:
-    """Number of ways to mark the parts with distinct cyclic subgroups,
-    after normalizing three of them; equals binomial(p-2, n-3), taken as 1
-    for n in {2, 3} so all part counts share one code path."""
-    check_part_count(n, p)
+def marking_count(p: int, n: int, k: int = 2) -> int:
+    """Number of ways to mark the n parts of a rank-k type with distinct
+    cyclic subgroups, after normalizing three of them: binomial(p-2, n-3),
+    taken as 1 for n <= 3 so all part counts share one code path."""
+    check_part_count(n, p, k)
     if n <= 3:
         return 1
     return binomial(p - 2, n - 3)

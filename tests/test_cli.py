@@ -10,6 +10,7 @@ import pytest
 
 import topotype
 from topotype.cli import main
+from topotype.counting import total_types
 
 
 def run(capsys, *argv):
@@ -95,6 +96,33 @@ def test_count_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "count", "--p", "3", "--k", "1", "--partition", "2,2")
     assert code == 2
+
+
+AUDIT_KEYS = {"card_A", "burnside_terms", "marking_multiplier"}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_count_gives_the_total_types_count(capsys, p, k):
+    # every admissible partition, and --R alone where it is accepted (rank 1,
+    # and p = 2 with rank 2, where it gives the total); the audit keys show
+    # exactly when k = 1 or p is odd
+    for R in range(3, 8):
+        report = total_types(p, k, R)
+        cases = [(["--partition", ",".join(map(str, r.partition.parts))], r.T)
+                 for r in report.reports]
+        if k == 1 or p == 2:
+            cases.append((["--R", str(R)], report.total))
+        else:
+            code, out, err = run(capsys, "count", "--p", str(p), "--k", "2", "--R", str(R))
+            assert (code, out) == (2, "") and "--partition" in err
+        for flags, T in cases:
+            code, out, _ = run(capsys, "count", "--p", str(p), "--k", str(k), *flags,
+                               "--format", "json")
+            assert code == 0, flags
+            record = json.loads(out)
+            assert record["T"] == str(T), flags
+            assert AUDIT_KEYS & set(record) == (AUDIT_KEYS if k == 1 or p > 2 else set())
 
 
 def test_total_plain(capsys):

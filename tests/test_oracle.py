@@ -260,6 +260,16 @@ def test_guard_multiset_limit():
         count_orbits(5, 2, 4, multiset_limit=10)
 
 
+def test_enumerate_guard_counts_the_prefixes_it_expands():
+    # (3, 2, 4): the stream expands multichoose(3, 8) = 120 prefixes for 30
+    # multisets; multichoose(4, 8) = 330 overstates the work
+    full = list(enumerate_generating_sets(3, 2, 4))
+    assert len(full) == 30
+    assert list(enumerate_generating_sets(3, 2, 4, multiset_limit=120)) == full
+    with pytest.raises(GuardExceeded, match="about 120 column multisets"):
+        list(enumerate_generating_sets(3, 2, 4, multiset_limit=119))
+
+
 def test_bad_R_is_named():
     for call in (check_feasible, count_orbits):
         for k in (1, 2):

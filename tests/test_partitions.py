@@ -192,6 +192,13 @@ def test_marking_count():
     assert marking_count(p=7, n=6) == 10
     with pytest.raises(AdmissibilityError):
         marking_count(p=5, n=7)
+    # the part count is checked against rank k: rank 1 has one part, marked
+    # by its one subgroup, and rank 2 (the default) needs two
+    assert marking_count(p=5, n=1, k=1) == 1
+    with pytest.raises(AdmissibilityError, match="only 1 cyclic subgroups"):
+        marking_count(p=5, n=2, k=1)
+    with pytest.raises(AdmissibilityError, match="fewer parts"):
+        marking_count(p=5, n=1)
 
 
 def test_parse_partition():
