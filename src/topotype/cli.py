@@ -8,7 +8,6 @@ past 64-bit ranges); exit codes are 0 (success), 1 (verification failure),
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
 import json
 import sys
@@ -65,6 +64,8 @@ def _emit(fmt: str, doc, csv_rows, plain_lines) -> None:
     if fmt == "json":
         print(json.dumps(doc(), sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
+        import csv
+
         csv.writer(sys.stdout).writerows(csv_rows())
     else:
         print(*plain_lines(), sep="\n")

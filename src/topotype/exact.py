@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def binomial(n: int, k: int) -> int:
@@ -94,6 +93,8 @@ class RationalPolynomial:
     coeffs: tuple
 
     def __post_init__(self):
+        from fractions import Fraction
+
         cs = tuple(Fraction(c) for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
@@ -105,6 +106,8 @@ class RationalPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x) -> Fraction:
+        from fractions import Fraction
+
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -152,6 +155,8 @@ def interpolate(points) -> RationalPolynomial:
     d_i = prod_{j != i} (X_i - X_j).  Each coefficient is divided once, at
     the end: O(n^2) integer operations for n points.
     """
+    from fractions import Fraction
+
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .exact import multichoose
@@ -122,11 +121,13 @@ def _stream(p: int, k: int, R: int, fixed: tuple = ()):
     Each chunk is an array of nondecreasing rows of vector indices (see
     ``nonzero_vectors``), grown from at most ``_CHUNK`` prefixes.
     Enumeration: after the columns ``fixed``, the next R-1-len(fixed)
-    columns form a nondecreasing prefix, expanded level by level; the last
-    column is forced to the negated coordinate sums.  A row is kept when the
-    forced column is nonzero and does not sort below the prefix (so each
-    multiset appears exactly once), and, for k = 2, when it has rank 2.
-    Rows come in the lexicographic order of their prefixes.
+    columns form a nondecreasing prefix, expanded level by level, each level
+    holding only its new column, the coordinate sums and a parent index into
+    the level before; the last column is forced to the negated sums.  A row
+    is kept when the forced column is nonzero and does not sort below the
+    prefix (so each multiset appears exactly once), and, for k = 2, when it
+    has rank 2; only the rows kept are assembled.  Rows come in the
+    lexicographic order of their prefixes.
     """
     import numpy as np
 
@@ -146,11 +147,19 @@ def _stream(p: int, k: int, R: int, fixed: tuple = ()):
         return np.column_stack([cols[parent], new]), sx[parent] + x[new], sy[parent] + y[new]
 
     def finish(cols, sx, sy, left):
+        new, levels = last(cols), []  # levels: (parent index, new column)
         for _ in range(left):
-            cols, sx, sy = expand(cols, sx, sy)
+            parent, step = _spread(V - new)
+            new = new[parent] + step
+            sx, sy = sx[parent] + x[new], sy[parent] + y[new]
+            levels.append((parent, new))
         forced = -sx % p * p + -sy % p - 1
-        keep = forced >= last(cols)
-        rows = np.column_stack([cols, forced])[keep]
+        at = np.flatnonzero(forced >= new)
+        tail = [forced[at]]
+        for parent, col in reversed(levels):
+            tail.append(col[at])
+            at = parent[at]
+        rows = np.column_stack([cols[at], *reversed(tail)])
         if fixed:
             return np.sort(np.column_stack([np.tile(fixed, (len(rows), 1)), rows]), axis=1)
         if k == 2:  # some column off the line of the first one
@@ -179,6 +188,33 @@ def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
     _guard_multisets(p, k, R, multichoose(R - 1, p**k - 1), multiset_limit)
     for rows in _stream(p, k, R):
         yield from _columns(rows.tolist(), p, k)
+
+
+def _inverses(p: int, dtype):
+    """Table of 1/a mod p for a = 0..p-1, with 0 for a = 0."""
+    import numpy as np
+
+    return np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=dtype)
+
+
+def _lines(u, w, inverse):
+    """Line of every column (u, w) of an array of vector coordinates (see
+    ``nonzero_vectors``): w/u, or p if u = 0; ``inverse`` is ``_inverses``'
+    table for p."""
+    import numpy as np
+
+    p = len(inverse)
+    return np.where(u, w * inverse[u] % p, p)
+
+
+def _run_lengths(rows):
+    """Where each run of equal entries starts in the sorted rows of ``rows``
+    (a boolean array of their shape), and the runs' lengths, row by row."""
+    import numpy as np
+
+    first = np.ones(rows.shape, dtype=bool)
+    first[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    return first, np.diff(np.r_[np.flatnonzero(first), rows.size])
 
 
 def _orbit_minima(arr, p: int, k: int):
@@ -210,21 +246,16 @@ def _orbit_minima(arr, p: int, k: int):
     V = p**k - 1
     # int32 products stay exact: coordinates and entries of g are below p
     X, Y = divmod((arr + 1).astype(np.int32 if p < 2**15 else np.int64), p)
-    inverse = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=X.dtype)
+    inverse = _inverses(p, X.dtype)
     # multiplicity at every position, from the run lengths of the sorted rows
-    flat = (arr + V * np.arange(n)[:, None]).ravel()
-    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-    lengths = np.diff(np.r_[starts, flat.size])
+    first, lengths = _run_lengths(arr)
     mult = np.repeat(lengths, lengths).reshape(n, R)
-    first = np.zeros(n * R, dtype=bool)
-    first[starts] = True
-    first = first.reshape(n, R)
     top = first & (mult == mult.max(axis=1)[:, None])  # candidates for c_j
     if k == 1:  # g = c_j^{-1}; one dummy partner per row
         partner = np.zeros_like(top)
         partner[:, 0] = True
     else:
-        lines = np.where(X, Y * inverse[X] % p, p)
+        lines = _lines(X, Y, inverse)
         low = np.where(top, lines, p + 1).min(axis=1)
         one_line = low == np.where(top, lines, -1).max(axis=1)
         off = np.where(lines != low[:, None], mult, 0).max(axis=1)
@@ -275,37 +306,61 @@ def _distinct(codes):
 def _columns(rows, p: int, k: int) -> list:
     """Column tuples of rows of vector indices (see ``nonzero_vectors``).
     Rows share one tuple per distinct index: an orbit table keeps them all."""
-    vec = {i: divmod(i + 1, p)[2 - k:] for i in set().union(*rows)}
-    return [tuple(vec[i] for i in row) for row in rows]
+    vec = {i: divmod(i + 1, p)[2 - k:] for i in set().union(*rows)}.__getitem__
+    return [tuple(map(vec, row)) for row in rows]
 
 
-def _decode(codes, p: int, k: int, R: int) -> list:
-    """Column tuples of encoded sorted rows (base p^k - 1 digits)."""
+def _digits(codes, V: int, R: int):
+    """Rows of vector indices of encoded sorted rows (base V = p^k - 1 digits)."""
     import numpy as np
 
-    V = p**k - 1
-    digits = codes[:, None] // V ** np.arange(R - 1, -1, -1, dtype=np.int64) % V
-    return _columns(digits.tolist(), p, k)
+    return codes[:, None] // V ** np.arange(R - 1, -1, -1, dtype=np.int64) % V
 
 
-def _line(v, p: int) -> int:
-    """Line of a nonzero column (u, w), or (w,) with u = 0: w/u, or p if u = 0."""
-    u, w = v if len(v) == 2 else (0, *v)
-    if u % p:
-        return w * pow(u, -1, p) % p
-    if w % p:
-        return p
-    raise ValueError(f"column {tuple(v)} is zero mod {p}")
+def _indices(columns, p: int, k: int) -> list:
+    """Sorted vector indices (see ``nonzero_vectors``) of columns over F_p^k;
+    names a column of the wrong length or zero mod p."""
+    out = []
+    for v in columns:
+        r = tuple(c % p for c in v)
+        if len(r) != k:
+            raise ValueError(f"column {tuple(v)} does not have k = {k} entries")
+        if not any(r):
+            raise ValueError(f"column {tuple(v)} is zero mod {p}")
+        out.append(r[0] * p + r[1] - 1 if k == 2 else r[0] - 1)
+    return sorted(out)
+
+
+def _partition_counts(rows, p: int) -> dict:
+    """Number of rows of each partition type, for an array of rows of vector
+    indices: a row's type is the multiset of its columns' counts per line."""
+    import numpy as np
+
+    n, R = rows.shape
+    u, w = divmod(rows + 1, p)
+    first, lengths = _run_lengths(np.sort(_lines(u, w, _inverses(p, u.dtype)), axis=1))
+    # hist[r, m]: lines holding m columns of row r, one histogram per type
+    hist = np.bincount(np.nonzero(first)[0] * (R + 1) + lengths, minlength=n * (R + 1))
+    hist = hist.reshape(n, R + 1)
+    hist = hist[np.lexsort(hist.T)]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (hist[1:] != hist[:-1]).any(axis=1)
+    heads = np.flatnonzero(new)
+    sizes = np.arange(R + 1)
+    return {PartitionType(tuple(np.repeat(sizes, hist[h]).tolist())): int(c)
+            for h, c in zip(heads, np.diff(np.r_[heads, n]))}
 
 
 def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
     """Partition type of a column multiset of rank k: group columns by the
-    cyclic subgroup they span (its line, see ``_line``) and take the
-    multiset of group sizes."""
-    for v in columns:
-        if len(v) != k:
-            raise ValueError(f"column {tuple(v)} does not have k = {k} entries")
-    return PartitionType(tuple(Counter([_line(v, p) for v in columns]).values()))
+    cyclic subgroup they span (its line, see ``_lines``) and take the
+    multiset of group sizes.  The one-row case of ``_partition_counts``."""
+    import numpy as np
+
+    check_prime(p)
+    check_rank(k)
+    (part,) = _partition_counts(np.array([_indices(columns, p, k)], dtype=np.int64), p)
+    return part
 
 
 @dataclass(frozen=True)
@@ -333,7 +388,8 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
     each is canonicalized by the maps that send a column of maximal
     multiplicity, and a partner, to the basis (see ``_orbit_minima``).
     Only the distinct minima are kept, so memory is one chunk plus one
-    code per orbit.
+    code per orbit; they are decoded to one array and classified in one
+    pass (``_partition_counts``).
     """
     import numpy as np
 
@@ -346,11 +402,9 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
         if sum(map(len, pending)) > max(_CHUNK, len(seen)):
             seen = _distinct(np.concatenate([seen, *pending]))
             pending = []
-    reps = _decode(_distinct(np.concatenate([seen, *pending])), p, k, R)
-    by_partition: dict = {}
-    for cols in reps:
-        part = classify_partition(cols, p, k)
-        by_partition[part] = by_partition.get(part, 0) + 1
+    rows = _digits(_distinct(np.concatenate([seen, *pending])), p**k - 1, R)
+    by_partition = _partition_counts(rows, p)
+    reps = _columns(rows.tolist(), p, k)
     return OrbitTable(p, k, R, by_partition, len(reps), tuple(reps))
 
 
@@ -361,14 +415,8 @@ def canonical_form(columns, p: int, k: int):
     check_prime(p)
     check_rank(k)
     _guard_encoding(p, k, len(columns))
-    reduced = [tuple(c % p for c in v) for v in columns]
-    for v, r in zip(columns, reduced):
-        if len(r) != k:
-            raise ValueError(f"column {tuple(v)} does not have k = {k} entries")
-        if not any(r):
-            raise ValueError(f"column {tuple(v)} is zero mod {p}")
-    row = np.array([sorted(r[0] * p + r[1] - 1 if k == 2 else r[0] - 1 for r in reduced)])
+    row = np.array([_indices(columns, p, k)], dtype=np.int64)
     code = _orbit_minima(row, p, k)
     if code[0] == np.iinfo(np.int64).max:
         raise ValueError(f"columns do not span F_{p}^{k}")
-    return _decode(code, p, k, row.shape[1])[0]
+    return _columns(_digits(code, p**k - 1, row.shape[1]).tolist(), p, k)[0]

@@ -247,6 +247,23 @@ def test_cli_import_does_not_load_numpy():
     assert after_use == "topotype.oracle False"  # the first lookup runs it; numpy stays lazy
 
 
+
+def test_count_and_total_load_neither_fractions_nor_csv():
+    # fractions is imported where exact's polynomials use it, csv inside
+    # cli._emit's CSV branch; JSON and plain output need neither
+    src = str(Path(topotype.__file__).resolve().parents[1])
+    probe = ("import sys\n"
+             "from topotype.cli import main\n"
+             "main(['count', '--p', '5', '--k', '2', '--partition', '2,2,1,1'])\n"
+             "main(['count', '--p', '7', '--k', '1', '--R', '6', '--format', 'json'])\n"
+             "main(['total', '--p', '5', '--k', '2', '--R', '6', '--format', 'json'])\n"
+             "main(['total', '--p', '2', '--k', '2', '--R', '8'])\n"
+             "print(sorted({'fractions', 'csv'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_table_plain(capsys):
     code, out, _ = run(capsys, "table", "--R", "3")
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -118,6 +119,14 @@ def test_classify_partition_names_a_column_of_the_wrong_length(columns, k, bad):
         classify_partition(columns, 3, k)
 
 
+
+@pytest.mark.parametrize("p,k,message", [(9, 2, "p = 9 is not prime"), (4, 1, "p = 4 is not prime"),
+                                         (3, 3, "k = 3: only ranks 1 and 2")])
+def test_classify_partition_checks_p_and_k(p, k, message):
+    with pytest.raises(ValueError, match=message):
+        classify_partition([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)][:k + 1], p, k)
+
+
 def test_every_enumerated_multiset_is_admissible():
     for p, k, R in ((3, 2, 3), (3, 2, 4), (3, 2, 5), (3, 2, 6), (5, 2, 4)):
         allowed = set(admissible_partitions(p, k, R))
@@ -140,6 +149,29 @@ def test_count_orbits_small_tables():
     assert table.count((1, 1, 1, 1)) == 1
     assert table.total == 4
     assert table.count((3, 1)) == 0
+
+
+
+BATCH_CASES = ([(2, 2, R) for R in range(3, 11)] + [(7, 1, R) for R in range(3, 10)]
+               + [(11, 1, R) for R in range(3, 10)] + [(3, 2, R) for R in range(3, 10)]
+               + [(5, 2, R) for R in range(3, 9)] + [(7, 2, R) for R in range(3, 8)])
+
+
+@pytest.mark.parametrize("p,k,R", BATCH_CASES)
+def test_count_orbits_classifies_like_classify_partition(p, k, R):
+    # count_orbits classifies all representatives in one array pass; the
+    # public per-multiset rule, and a literal grouping of the columns by the
+    # line they span (the smallest of their nonzero multiples), agree with it
+    table = count_orbits(p, k, R)
+    assert table.by_partition == Counter(classify_partition(rep, p, k)
+                                         for rep in table.representatives)
+
+    def literal(rep):
+        lines = Counter(min(tuple(t * c % p for c in v) for t in range(1, p)) for v in rep)
+        return PartitionType(tuple(lines.values()))
+
+    assert table.by_partition == Counter(map(literal, table.representatives))
+    assert sum(table.by_partition.values()) == table.total == len(table.representatives)
 
 
 def test_count_orbits_representatives_are_canonical():
