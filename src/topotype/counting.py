@@ -1,17 +1,25 @@
 """Type-counting formulas for fully ramified Z_p^k actions.
 
-|A| counts block matrices for one fixed marking (one block of zero-first-
-column rows per part, all row sums zero mod p).  The final count T applies
-a Burnside average over the scalar group F_p^* (with correction terms for
-scalars of each order d' > 1 dividing every part) and the marking
+|A| counts the zero-sum column multisets for one fixed marking: part i puts
+P_i nonzero columns on the i-th of n distinct lines of F_p^2.  A sum over
+the characters of F_p^2 gives it in closed form.  With b_P =
+binomial(P+p-2, P) and s_P = ``_unit_sign(P, p)``,
+
+    |A| = (prod b + (p-1)(sum_j b_j prod_{i != j} s_i + (p+1-n) prod s))/p^2:
+
+the trivial character sees every multiset (prod b), and each of the p+1
+lines is the kernel of p-1 characters, under which the part on that line
+contributes b and every other part the signed weight s.  The final count T
+applies a Burnside average over the scalar group F_p^* (with correction
+terms for scalars of each order d' > 1 dividing every part) and the marking
 multiplier binomial(p-2, n-3).
 
 One formula serves every prime and both ranks, over the partition types
 that ``partitions.admissible_partitions`` lists.  Rank 1 has one cyclic
-subgroup, so its one type {R} has one part: |A| = W_R, and the multiplier
-``marking_count(p, 1, 1)`` is 1.  At p = 2 every b_P is 1, so W_P =
-[P even] and Z_P = [P odd]; with no scalar correction and multiplier 1,
-T = |A| is the Klein parity rule, ``crosscheck``'s independent reference.
+subgroup, so its one type {R} has one part: |A| = (b + (p-1) s)/p, and the
+multiplier ``marking_count(p, 1, 1)`` is 1.  At p = 2 every b_P is 1 and s_P
+= (-1)^P; with no scalar correction and multiplier 1, T = |A| is the Klein
+parity rule, ``crosscheck``'s independent reference.
 """
 
 from __future__ import annotations
@@ -63,49 +71,31 @@ def _unit_sign(P: int, p: int) -> int:
     return 1 if r == 0 else -1 if r == 1 else 0
 
 
-def _wz(B: int, sign: int, p: int) -> tuple:
-    """(W, Z) of B rows whose zero class is off the average B/p by ``sign``
-    times (p-1)/p: W = Z + sign, W + (p-1) Z = B."""
-    z = exact_div(B - sign, p)
-    return z + sign, z
-
-
 def _values(p: int, parts, ns, k: int = 2) -> tuple:
     """The values one call shares across its partitions, computed once per
-    distinct part P and once per number of parts n: P -> (b_P, sign, W_P,
-    Z_P), with b_P = binomial(P+p-2, P) and sign as in ``_unit_sign``;
-    P -> {d': multichoose(P/d', (p-1)/d')} for each d' > 1 dividing P and
-    p-1, the Burnside factors, keyed by d' ascending; and n ->
-    marking_count(p, n, k) for rank k."""
-    part_wz, burnside = {}, {}
+    distinct part P and once per number of parts n: P -> (b_P, s_P), with
+    b_P = binomial(P+p-2, P) and s_P as in ``_unit_sign``; P -> {d':
+    multichoose(P/d', (p-1)/d')} for each d' > 1 dividing P and p-1, the
+    Burnside factors, keyed by d' ascending; and n -> marking_count(p, n, k)
+    for rank k."""
+    signed, burnside = {}, {}
     for P in set(parts):
-        b, sign = binomial(P + p - 2, P), _unit_sign(P, p)
-        part_wz[P] = (b, sign, *_wz(b, sign, p))
+        signed[P] = binomial(P + p - 2, P), _unit_sign(P, p)
         burnside[P] = {dp: multichoose(P // dp, (p - 1) // dp)
                        for dp in divisors_greater_than_one(math.gcd(p - 1, P))}
-    return part_wz, burnside, {n: marking_count(p, n, k) for n in ns}
+    return signed, burnside, {n: marking_count(p, n, k) for n in ns}
 
 
 def card_A(partition, p: int) -> int:
-    """|A| for any number of parts, by the pairwise recursion.
+    """|A| for any number of parts, by the character sum over F_p^2 (see
+    the module docstring).
 
     Accepts a PartitionType (canonical descending order) or any explicit
     part sequence — the result is independent of the order, which the test
-    suite verifies exhaustively for small R.
-
-    The recursion consumes two parts per step from the end: with r the count
-    for the suffix processed so far, (W', Z') the block value of that suffix,
-    and s01 = W' - r, s11 = (p-1)Z' - W' + r, the next value is
-    [W_a Z_a] [[r, s01], [s01, s11]] [W_b Z_b]^T.  The suffix starts empty
-    (r = 1) for an even number of parts and as the last part alone (r = its
-    W) for an odd number, which reproduces ``crosscheck.card_A_base2``
-    and ``crosscheck.card_A_base3`` as the first step.
-
-    One linear pass: each part's b_P = binomial(P+p-2, P) and sign (+1 for
-    P = 0, -1 for P = 1, else 0 mod p) are computed once, and the suffix's
-    product B of the b_P and product of the signs are carried forward, so
-    (W', Z') = (z + sign, z) with z = (B - sign)/p, as
-    ``crosscheck.block_wz`` gives.
+    suite verifies exhaustively for small R.  The base, shortcut and unitary
+    forms in ``crosscheck``, and the pairwise (W, Z) recursion that the
+    tests rebuild from its (W, Z) counts, reach the same values
+    independently.
     """
     parts = _as_parts(partition)
     check_prime(p)
@@ -115,28 +105,15 @@ def card_A(partition, p: int) -> int:
     return _card_A(parts, _values(p, parts, ())[0], p)
 
 
-def _card_A(parts: tuple, part_wz: dict, p: int) -> int:
-    """``card_A`` for checked parts (one part gives its W) and a prime p,
-    reading each part's (b_P, sign, W_P, Z_P) from ``part_wz``."""
-    wz = [part_wz[P] for P in parts]
-    i = len(parts) - 2
-    if len(parts) % 2:
-        B, sign, r, _ = wz[-1]
-        i -= 1
-    else:
-        r, B, sign = 1, 1, 1
-    while i >= 0:
-        W, Z = _wz(B, sign, p)
-        s01 = W - r
-        s11 = (p - 1) * Z - W + r
-        if s01 < 0 or s11 < 0:
-            raise ArithmeticError("negative recursion state; invariant broken")
-        (ba, sa, wa, za), (bb, sb, wb, zb) = wz[i], wz[i + 1]
-        r = wa * (r * wb + s01 * zb) + za * (s01 * wb + s11 * zb)
-        B *= ba * bb
-        sign *= sa * sb
-        i -= 2
-    return r
+def _card_A(parts: tuple, signed: dict, p: int) -> int:
+    """``card_A`` for checked parts and a prime p, reading each part's
+    (b_P, s_P) from ``signed``: one pass carries prod b, the cross sum
+    sum_j b_j prod_{i != j} s_i and prod s, then one exact division by p^2."""
+    prod_b, cross, prod_sign = 1, 0, 1
+    for P in parts:
+        b, s = signed[P]
+        prod_b, cross, prod_sign = prod_b * b, cross * s + prod_sign * b, prod_sign * s
+    return exact_div(prod_b + (p - 1) * (cross + (p + 1 - len(parts)) * prod_sign), p * p)
 
 
 def _burnside_terms(parts, burnside: dict) -> tuple:
@@ -165,8 +142,8 @@ def _count(part: PartitionType, p: int, values: tuple) -> CountReport:
     """The type count of ``part`` at a prime p, for either rank, reading
     per-part and per-n values from ``values``; the caller has checked p and
     the part count."""
-    part_wz, burnside, marks = values
-    a = _card_A(part.parts, part_wz, p)
+    signed, burnside, marks = values
+    a = _card_A(part.parts, signed, p)
     terms = _burnside_terms(part.parts, burnside)
     marked_classes = exact_div(a + sum(c for _, c in terms), p - 1)
     mark = marks[part.n]
@@ -175,8 +152,8 @@ def _count(part: PartitionType, p: int, values: tuple) -> CountReport:
 
 def count_types_rank1(R: int, p: int) -> CountReport:
     """Type count for rank 1: the report of its one admissible type {R},
-    with |A| = W_R and multiplier 1 (at p = 2, one action for even R and
-    none for odd R)."""
+    with |A| = (b_R + (p-1) s_R)/p and multiplier 1 (at p = 2, one action
+    for even R and none for odd R)."""
     return total_types(p, 1, R).reports[0]
 
 

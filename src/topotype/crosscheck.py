@@ -10,7 +10,8 @@ The distributions count matrices of nonnegative integers with one row per
 part, row i summing to P_i (optionally with a forced zero first column),
 bucketed by the weighted sum sum_{i,j} w_i * j * a_{ij} mod p.  The (W, Z)
 pair of a part or block records the count landing in class 0 (W) and in
-each nonzero class (Z).
+each nonzero class (Z); production computes |A| by a character sum and
+never forms it.
 
 This module imports the production modules; none of them imports it.
 """
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .counting import _as_parts, _unit_sign, _wz
+from .counting import _as_parts, _unit_sign
 from .exact import binomial, exact_div, is_prime, multichoose
 from .oracle import DEFAULT_MULTISET_LIMIT, GuardExceeded
 from .partitions import check_part_count
@@ -62,6 +63,13 @@ def row_counts(P: int, p: int) -> RowCounts:
     return RowCounts(binomial(P + p - 1, P), binomial(P + p - 2, P))
 
 
+def _wz(B: int, sign: int, p: int) -> PartWZ:
+    """(W, Z) of B rows whose zero class is off the average B/p by ``sign``
+    times (p-1)/p: W = Z + sign, W + (p-1) Z = B."""
+    z = exact_div(B - sign, p)
+    return PartWZ(z + sign, z)
+
+
 def part_wz(P: int, p: int) -> PartWZ:
     """(W, Z) of a single part with the first column forced to zero.
 
@@ -72,7 +80,7 @@ def part_wz(P: int, p: int) -> PartWZ:
     _check_odd_prime(p)
     if P < 0:
         raise ValueError("part must be nonnegative")
-    return PartWZ(*_wz(binomial(P + p - 2, P), _unit_sign(P, p), p))
+    return _wz(binomial(P + p - 2, P), _unit_sign(P, p), p)
 
 
 def block_wz(parts, p: int) -> PartWZ:
@@ -91,7 +99,7 @@ def block_wz(parts, p: int) -> PartWZ:
     for P in parts:
         B *= binomial(P + p - 2, P)
         sign *= _unit_sign(P, p)
-    return PartWZ(*_wz(B, sign, p))
+    return _wz(B, sign, p)
 
 
 def full_distribution(parts, weights, p: int, zero_first_column: bool = False) -> Distribution:

@@ -416,7 +416,7 @@ def canonical_form(columns, p: int, k: int):
     check_rank(k)
     _guard_encoding(p, k, len(columns))
     row = np.array([_indices(columns, p, k)], dtype=np.int64)
-    code = _orbit_minima(row, p, k)
-    if code[0] == np.iinfo(np.int64).max:
+    # fewer than k columns cannot span, and _orbit_minima needs a column
+    if row.shape[1] < k or (code := _orbit_minima(row, p, k))[0] == np.iinfo(np.int64).max:
         raise ValueError(f"columns do not span F_{p}^{k}")
     return _columns(_digits(code, p**k - 1, row.shape[1]).tolist(), p, k)[0]

@@ -25,8 +25,8 @@ class PolynomialFitError(ValueError):
 
 def fit_floor(partition: PartitionType) -> int:
     """Least p at which a fit holds: above the largest part (so every part
-    P has P mod p = P and its (W, Z) counts in ``counting`` take one fixed
-    branch), at least n-1 (the n parts fit on the p+1 lines) and at least 3."""
+    P has P mod p = P and its sign s_P in ``counting``'s |A| is fixed),
+    at least n-1 (the n parts fit on the p+1 lines) and at least 3."""
     return max(3, max(partition.parts) + 1, partition.n - 1)
 
 

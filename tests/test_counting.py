@@ -206,6 +206,19 @@ def test_count_types_rank2_at_p2_is_the_klein_rule():
                 assert card_A(order, 2) == klein_type_count(part), order
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 1000003])
+def test_rank1_card_A_is_the_part_W(p):
+    # rank 1 is the one-part case of the closed form: |A| = W_R
+    for R in range(3, 21):
+        assert total_types(p, 1, R).reports[0].card_A == part_wz(R, p).W, (p, R)
+
+
+def test_rank1_card_A_at_p2_is_the_parity_of_R():
+    # part_wz needs an odd prime; at p = 2, W_R = [R even]
+    for R in range(3, 21):
+        assert total_types(2, 1, R).reports[0].card_A == (1 if R % 2 == 0 else 0), R
+
+
 def _count_calls(monkeypatch, fn):
     """Replace ``fn`` by a counting wrapper in every topotype namespace that
     binds it; returns the list the arguments of each call are appended to."""

@@ -432,6 +432,14 @@ def test_canonical_form_checks_k_and_column_lengths(columns, k, message):
         canonical_form(columns, 3, k)
 
 
+@pytest.mark.parametrize("columns,k", [
+    ([], 1), ([], 2), ([(1, 0)], 2), ([(1, 0), (2, 0)], 2),
+], ids=["empty-k1", "empty-k2", "one-column", "one-line"])
+def test_canonical_form_names_columns_that_do_not_span(columns, k):
+    with pytest.raises(ValueError, match=rf"columns do not span F_3\^{k}"):
+        canonical_form(columns, 3, k)
+
+
 def test_the_oracle_computes_vector_indices(monkeypatch):
     # ``nonzero_vectors`` is the reference order only; no oracle entry
     # lists the vectors to read or write an index

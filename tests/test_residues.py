@@ -223,3 +223,20 @@ def test_partitions_owns_the_input_checks():
     assert users == {"partitions", "tables"}
     assert helpers == set()
     assert raisers == {"partitions"}
+
+
+def test_wz_counts_stay_reference_only():
+    # production computes |A| by the character sum; the (W, Z) counts of a
+    # part or block are defined only in crosscheck, the independent reference
+    package = Path(topotype.__file__).parent
+    production = [path for path in sorted(package.glob("*.py"))
+                  if path.name not in ("__init__.py", "crosscheck.py")]
+    assert len(production) >= 6
+    defined = {f"{path.stem}.{node.name}"
+               for path in production for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in ("_wz", "part_wz", "block_wz")}
+    assert defined == set()
+    crosscheck = ast.parse((package / "crosscheck.py").read_text())
+    assert {node.name for node in crosscheck.body if isinstance(node, ast.FunctionDef)} >= {
+        "_wz", "part_wz", "block_wz"}
