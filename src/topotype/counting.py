@@ -25,15 +25,14 @@ parity rule, ``crosscheck``'s independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import binomial, divisors_greater_than_one, euler_phi, exact_div, multichoose
 from .partitions import (ActionParams, PartitionType, admissible_partitions, check_part_count,
                          check_prime, marking_count)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Full audit trail of one type count.
 
     T = marking_multiplier * (card_A + sum of Burnside contributions)/(p-1).
@@ -47,8 +46,7 @@ class CountReport:
     T: int
 
 
-@dataclass(frozen=True)
-class TotalReport:
+class TotalReport(NamedTuple):
     """Per-partition breakdown plus total for fixed (p, k, R)."""
 
     p: int

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import _as_parts, _unit_sign
 from .exact import binomial, exact_div, is_prime, multichoose
@@ -28,8 +28,7 @@ from .oracle import DEFAULT_MULTISET_LIMIT, GuardExceeded
 from .partitions import check_part_count
 
 
-@dataclass(frozen=True)
-class RowCounts:
+class RowCounts(NamedTuple):
     """Row counts for one part P: e = rows over p columns, b = rows with
     zero first column."""
 
@@ -37,16 +36,14 @@ class RowCounts:
     b: int
 
 
-@dataclass(frozen=True)
-class PartWZ:
+class PartWZ(NamedTuple):
     """Zero-class count W and per-nonzero-class count Z of a part or block."""
 
     W: int
     Z: int
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """Counts per residue class alpha = 0..p-1."""
 
     counts: tuple
@@ -262,8 +259,7 @@ def count_types_klein(R: int) -> int:
     return three + two
 
 
-@dataclass(frozen=True)
-class GaussianBinomial:
+class GaussianBinomial(NamedTuple):
     """q-binomial [m+n, m]_q as its integer coefficient list t_0..t_{mn}.
 
     t_l is the number of partitions of l into at most m parts each of size

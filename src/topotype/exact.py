@@ -10,7 +10,6 @@ floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def binomial(n: int, k: int) -> int:
@@ -86,19 +85,29 @@ def exact_div(a: int, b: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
 class RationalPolynomial:
     """Dense univariate polynomial, exact rational coefficients, index = degree."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs):
         from fractions import Fraction
 
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(Fraction(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        self.coeffs = cs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"RationalPolynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:

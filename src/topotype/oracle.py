@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import multichoose
 from .partitions import ActionParams, PartitionType, check_prime, check_rank
@@ -59,6 +59,12 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
     per candidate basis: an ordered choice of k of the R columns, at most
     ``min(R!/(R-k)!, |GL_k|)`` of them; ``_guard_encoding`` bounds the
     orbit codes.
+
+    At the default limits the step guard never refuses alone: over every
+    prime below 400, k = 1, 2 and R = 3..69, only (3, 2, 31) and (3, 2, 32)
+    pass the multiset guard and fail the step guard, and the encoding guard
+    refuses both.  ``step_limit`` matters only when a caller lowers it
+    (``verify --guard-steps``).
     """
     ActionParams(p, k, R)
     m = multichoose(R - 1 - k, p**k - 1)
@@ -363,9 +369,10 @@ def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
     return part
 
 
-@dataclass(frozen=True)
-class OrbitTable:
-    """Orbit counts bucketed by partition type, plus canonical representatives."""
+class OrbitTable(NamedTuple):
+    """Orbit counts bucketed by partition type, plus canonical representatives.
+    ``count`` is the orbit count of one partition type; it replaces
+    ``tuple.count``."""
 
     p: int
     k: int

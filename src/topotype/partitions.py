@@ -11,8 +11,6 @@ the part count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import binomial, is_prime
 
 
@@ -24,17 +22,35 @@ class NotHyperbolicError(ValueError):
     """The requested parameters do not give a hyperbolic surface (genus > 1)."""
 
 
-@dataclass(frozen=True)
 class PartitionType:
     """Multiset of positive parts, stored in canonical descending order."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        ps = tuple(sorted(map(int, self.parts), reverse=True))
+    def __init__(self, parts):
+        ps = tuple(sorted(map(int, parts), reverse=True))
         if not ps or ps[-1] < 1:
             raise ValueError("parts must be positive integers")
-        object.__setattr__(self, "parts", ps)
+        self.parts = ps
+
+    @classmethod
+    def _descending(cls, parts: tuple) -> PartitionType:
+        """The type of ``parts``, a nonempty tuple of positive ints already in
+        descending order, built without sorting or checking it again."""
+        part = object.__new__(cls)
+        part.parts = parts
+        return part
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"PartitionType(parts={self.parts!r})"
 
     @property
     def R(self) -> int:
@@ -51,19 +67,17 @@ class PartitionType:
         return "{" + ",".join(str(x) for x in self.parts) + "}"
 
 
-@dataclass(frozen=True)
 class ActionParams:
     """Parameters (p, k, R) of a fully ramified Z_p^k action on a surface."""
 
-    p: int
-    k: int
-    R: int
+    __slots__ = ("p", "k", "R")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        check_rank(self.k)
-        if self.R < 3:
-            raise ValueError(f"R = {self.R}: need R >= 3")
+    def __init__(self, p: int, k: int, R: int):
+        check_prime(p)
+        check_rank(k)
+        if R < 3:
+            raise ValueError(f"R = {R}: need R >= 3")
+        self.p, self.k, self.R = p, k, R
 
 
 def check_prime(p: int) -> None:
@@ -142,7 +156,7 @@ def admissible_partitions(p: int, k: int, R: int) -> list[PartitionType]:
         for parts in _partitions_into(R, n, R, memo):
             if n == k and parts[-1] < 2:
                 continue
-            out.append(PartitionType(parts))
+            out.append(PartitionType._descending(parts))
     return out
 
 

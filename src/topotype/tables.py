@@ -11,8 +11,8 @@ per class, and verifies every interpolant on held-out primes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .counting import count_types_rank2
 from .exact import RationalPolynomial, interpolate, is_prime
@@ -30,18 +30,27 @@ def fit_floor(partition: PartitionType) -> int:
     return max(3, max(partition.parts) + 1, partition.n - 1)
 
 
-@dataclass(frozen=True)
 class StratifiedPolynomial:
     """One exact polynomial per residue class of p mod ``modulus``, valid for
     p >= ``min_prime``."""
 
-    partition: PartitionType
-    modulus: int
-    branches: dict  # residue class -> RationalPolynomial
-    min_prime: int = field(init=False)
+    __slots__ = ("partition", "modulus", "branches", "min_prime")
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_prime", fit_floor(self.partition))
+    def __init__(self, partition: PartitionType, modulus: int, branches: dict):
+        self.partition = partition
+        self.modulus = modulus
+        self.branches = branches  # residue class -> RationalPolynomial
+        self.min_prime = fit_floor(partition)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.partition, self.modulus, self.branches)
+                == (other.partition, other.modulus, other.branches))
+
+    def __repr__(self):
+        return (f"StratifiedPolynomial(partition={self.partition!r}, modulus={self.modulus!r}, "
+                f"branches={self.branches!r}, min_prime={self.min_prime!r})")
 
     def branch_for(self, p: int) -> RationalPolynomial:
         if p < self.min_prime:
@@ -164,8 +173,7 @@ def table_rows(R: int) -> list:
     return admissible_partitions(R - 1, 2, R)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     partition: PartitionType
     fit: StratifiedPolynomial
     samples: tuple  # ((p, T), ...)

@@ -264,6 +264,30 @@ def test_count_and_total_load_neither_fractions_nor_csv():
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_commands_load_neither_dataclasses_nor_inspect():
+    # the value types are slotted classes and named tuples: count, total,
+    # table and --help import neither dataclasses nor the inspect chain it
+    # pulls in; verify loads numpy, which imports inspect itself
+    src = str(Path(topotype.__file__).resolve().parents[1])
+    probe = ("import contextlib, io, sys\n"
+             "from topotype.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    main(['count', '--p', '5', '--k', '2', '--partition', '2,2,1,1'])\n"
+             "    main(['total', '--p', '5', '--k', '2', '--R', '6'])\n"
+             "    main(['table', '--R', '4'])\n"
+             "    try:\n"
+             "        main(['--help'])\n"
+             "    except SystemExit:\n"
+             "        pass\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert main(['verify', '--k', '2', '--p', '3', '--R', '4']) == 0\n"
+             "print('numpy' in sys.modules, sorted({'dataclasses'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert result.stdout.splitlines() == ["[]", "True []"]
+
+
 def test_table_plain(capsys):
     code, out, _ = run(capsys, "table", "--R", "3")
     assert code == 0

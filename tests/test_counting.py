@@ -259,6 +259,16 @@ def test_total_types_reports_match_count_types_rank2(p):
             assert report == count_types_rank2(report.partition, p), (p, R, report.partition)
 
 
+def test_count_types_rank2_from_any_part_order_is_the_total_types_report():
+    # a report built from parts in ascending order (the checked constructor
+    # sorts them) equals and hashes like the one total_types builds from
+    # admissible_partitions' unchecked types
+    for p, R in ((5, 6), (7, 7), (1000003, 9)):
+        for report in total_types(p, 2, R).reports:
+            mine = count_types_rank2(report.partition.parts[::-1], p)
+            assert mine == report and hash(mine) == hash(report), (p, R, report.partition)
+
+
 def test_count_types_tests_primality_once_per_call(monkeypatch):
     prime_tests = _count_calls(monkeypatch, exact.is_prime)
     parts = [PartitionType((2, 2)), PartitionType((3, 2, 1, 1)), PartitionType((1,) * 8)]

@@ -321,6 +321,40 @@ def test_guard_encoding_width():
             call(3, 2, 21)
 
 
+def test_step_guard_never_refuses_alone_at_the_default_limits():
+    # every case the default step limit refuses is refused with it lifted
+    # too: only (3, 2, 31) and (3, 2, 32) fail it, and the encoding bound
+    # refuses both
+    refused_by_steps = []
+    for p in [q for q in range(2, 400) if all(q % d for d in range(2, q))]:
+        for k in (1, 2):
+            for R in range(3, 70):
+                outcomes = []
+                for step_limit in (None, 10**100):
+                    try:
+                        check_feasible(p, k, R, step_limit=step_limit)
+                        outcomes.append("pass")
+                    except GuardExceeded as exc:
+                        outcomes.append(str(exc))
+                if "steps" in outcomes[0]:
+                    refused_by_steps.append((p, k, R))
+                assert (outcomes[0] == "pass") == (outcomes[1] == "pass"), (p, k, R)
+    assert refused_by_steps == [(3, 2, 31), (3, 2, 32)]
+    for R in (31, 32):
+        with pytest.raises(GuardExceeded, match="encoding"):
+            check_feasible(3, 2, R, step_limit=10**100)
+
+
+def test_orbit_table_count_takes_a_tuple_or_a_partition_type():
+    table = count_orbits(5, 2, 5)
+    assert table.by_partition
+    for part, orbits in table.by_partition.items():
+        assert table.count(part) == orbits
+        assert table.count(part.parts[::-1]) == table.count(list(part.parts)) == orbits
+    assert table.count(PartitionType((4, 1))) == table.count((1, 4)) == 0
+    assert sum(map(table.count, table.by_partition)) == table.total
+
+
 def test_distribution_bruteforce_examples():
     assert distribution_bruteforce((1,), (1,), 3).counts == (1, 1, 1)
     assert distribution_bruteforce((3,), (1,), 3).counts == (4, 3, 3)

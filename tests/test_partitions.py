@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from topotype.partitions import (
@@ -40,6 +42,43 @@ def test_action_params_validation():
         ActionParams(p=5, k=3, R=4)
     with pytest.raises(ValueError):
         ActionParams(p=5, k=2, R=2)
+
+
+def test_partition_types_from_every_route_are_one_value():
+    # the parser, the checked constructor and admissible_partitions'
+    # unchecked one build equal values, with equal hashes and reprs
+    (listed,) = [q for q in admissible_partitions(5, 2, 5) if q.parts == (2, 2, 1)]
+    parsed, built = parse_partition("1,2^2"), PartitionType((1, 2, 2))
+    for part in (parsed, built):
+        assert part == listed and hash(part) == hash(listed)
+        assert repr(part) == repr(listed) == "PartitionType(parts=(2, 2, 1))"
+    assert len({parsed, built, listed}) == 1
+    assert listed != (2, 2, 1) and listed.__eq__((2, 2, 1)) is NotImplemented
+
+
+def test_admissible_partitions_are_already_canonical():
+    # admissible_partitions builds its types without sorting them: each one
+    # must equal the type the checked constructor makes from its parts
+    for p, k, R in ((2, 2, 9), (3, 2, 10), (5, 2, 8), (7, 1, 6), (1000003, 2, 12)):
+        for part in admissible_partitions(p, k, R):
+            assert PartitionType(part.parts).parts == part.parts, (p, k, R)
+
+
+@pytest.mark.parametrize("parts", [(2, 0), (), (3, -1)])
+def test_partition_type_message(parts):
+    with pytest.raises(ValueError, match="^parts must be positive integers$"):
+        PartitionType(parts)
+
+
+@pytest.mark.parametrize("p, k, R, message", [
+    (4, 2, 4, "p = 4 is not prime: need an odd prime or 2"),
+    (5, 3, 4, "k = 3: only ranks 1 and 2 are supported"),
+    (5, 2, 2, "R = 2: need R >= 3"),
+    (9, 0, 1, "p = 9 is not prime: need an odd prime or 2"),
+])
+def test_action_params_messages(p, k, R, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ActionParams(p=p, k=k, R=R)
 
 
 def test_genus_examples():

@@ -173,6 +173,23 @@ def test_crosscheck_stays_off_the_production_path():
         assert hasattr(topotype, name), name
 
 
+def test_no_module_imports_dataclasses():
+    # value types are slotted classes or named tuples: dataclasses, and the
+    # inspect chain it loads, would cost every command start-up time
+    package = Path(topotype.__file__).parent
+    paths = sorted(package.rglob("*.py"))
+    assert len(paths) >= 8
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "dataclasses" for name in names), path.name
+
+
 def test_only_cli_emit_serializes():
     # one renderer: in the whole package only cli._emit calls json.dumps or
     # csv.writer, only cli imports json or csv, and tables imports none of

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -176,7 +175,7 @@ def test_build_table_checks_supplied_primes_against_the_fit(monkeypatch):
     # shown next to a polynomial that disagrees with it
     def off_at_29(part, p):
         report = count_types_rank2(part, p)
-        return dataclasses.replace(report, T=report.T + (p == 29))
+        return report._replace(T=report.T + (p == 29))
 
     monkeypatch.setattr("topotype.tables.count_types_rank2", off_at_29)
     with pytest.raises(PolynomialFitError, match=r"\{2,2\}: supplied prime 29 gives 15"):
