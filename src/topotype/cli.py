@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import sys
 
 from .counting import count_types_rank2, total_types
@@ -31,8 +30,8 @@ def _lazy_module(name: str):
     return sys.modules[name]
 
 
-# Only ``verify`` runs the oracle, so its source (and numpy) loads on the
-# first ``oracle.`` lookup there.  It is registered, unrun, at import so
+# Only ``verify`` runs the oracle, so its source loads on the first
+# ``oracle.`` lookup there.  It is registered, unrun, at import so
 # that code looking it up in ``sys.modules`` after importing this module
 # still finds it: ``perfbench``'s traced run does.
 oracle = _lazy_module(f"{__package__}.oracle")
@@ -62,6 +61,8 @@ def _emit(fmt: str, doc, csv_rows, plain_lines) -> None:
     zero-argument callables returning the JSON document, the CSV rows and
     the plain lines; only the one ``fmt`` asks for is called."""
     if fmt == "json":
+        import json
+
         print(json.dumps(doc(), sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
         import csv

@@ -267,7 +267,8 @@ def test_count_and_total_load_neither_fractions_nor_csv():
 def test_commands_load_neither_dataclasses_nor_inspect():
     # the value types are slotted classes and named tuples: count, total,
     # table and --help import neither dataclasses nor the inspect chain it
-    # pulls in; verify loads numpy, which imports inspect itself
+    # pulls in; verify adds only the oracle, which loads neither numpy nor
+    # inspect
     src = str(Path(topotype.__file__).resolve().parents[1])
     probe = ("import contextlib, io, sys\n"
              "from topotype.cli import main\n"
@@ -282,10 +283,32 @@ def test_commands_load_neither_dataclasses_nor_inspect():
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    assert main(['verify', '--k', '2', '--p', '3', '--R', '4']) == 0\n"
-             "print('numpy' in sys.modules, sorted({'dataclasses'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert result.stdout.splitlines() == ["[]", "True []"]
+    assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_plain_count_and_help_do_not_load_json():
+    # json is imported in cli._emit's JSON branch only, so a plain count and
+    # --help never load it; a JSON count does
+    src = str(Path(topotype.__file__).resolve().parents[1])
+    probe = ("import contextlib, io, sys\n"
+             "from topotype.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    main(['count', '--p', '5', '--k', '2', '--partition', '2,2,1,1'])\n"
+             "    try:\n"
+             "        main(['--help'])\n"
+             "    except SystemExit:\n"
+             "        pass\n"
+             "print('json' in sys.modules)\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    main(['count', '--p', '5', '--k', '2', '--partition', '2,2,1,1',"
+             " '--format', 'json'])\n"
+             "print('json' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert result.stdout.splitlines() == ["False", "True"]
 
 
 def test_table_plain(capsys):

@@ -154,8 +154,8 @@ PACKAGE_EXPORTS = (
 
 
 def test_crosscheck_stays_off_the_production_path():
-    # no production module imports the cross-check routes, not even inside a
-    # function body, and the package still exports every name it did
+    # no production module imports the cross-check routes or numpy, not even
+    # inside a function body, and the package still exports every name it did
     package = Path(topotype.__file__).parent
     production = [path for path in sorted(package.glob("*.py"))
                   if path.name not in ("__init__.py", "crosscheck.py")]
@@ -169,6 +169,7 @@ def test_crosscheck_stays_off_the_production_path():
             else:
                 continue
             assert not any("crosscheck" in name.split(".") for name in names), path.name
+            assert not any(name.split(".")[0] == "numpy" for name in names), path.name
     for name in PACKAGE_EXPORTS:
         assert hasattr(topotype, name), name
 
