@@ -468,6 +468,29 @@ def test_canonical_form_under_tied_multiplicities(data):
     assert canonical_form(cols, p, k) == _min_image(cols, p, k)
 
 
+CHUNK_CASES = ([(3, 2, R) for R in range(3, 10)] + [(5, 2, R) for R in range(3, 7)]
+               + [(7, 1, R) for R in range(3, 9)])
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("p,k,R", CHUNK_CASES)
+def test_chunk_size_does_not_change_answers(chunk, p, k, R):
+    # canonicalize every generating set, read lazily in chunks of `chunk`,
+    # and de-duplicate within and across chunks: the orderly enumeration
+    # must keep exactly these minima, and the chunked reads must see every
+    # set once, in the order a single read sees them
+    table = count_orbits(p, k, R)
+    sets, minima, sizes = iter(enumerate_generating_sets(p, k, R)), set(), []
+    while block := list(itertools.islice(sets, chunk)):
+        sizes.append(len(block))
+        minima |= {canonical_form(cols, p, k) for cols in block}
+    assert max(sizes) <= chunk
+    assert sum(sizes) == sum(1 for _ in enumerate_generating_sets(p, k, R))
+    assert table.representatives == tuple(sorted(minima))
+    assert table.by_partition == Counter(classify_partition(cols, p, k) for cols in minima)
+    assert table.total == len(minima)
+
+
 @pytest.mark.parametrize("zero", [(0, 0), (3, 0)])
 def test_canonical_form_names_a_zero_column(zero):
     with pytest.raises(ValueError, match=rf"column \({zero[0]}, 0\) is zero mod 3"):
