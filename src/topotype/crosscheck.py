@@ -4,7 +4,8 @@ The acceptance suite compares the production counts with these: the base,
 shortcut and unitary forms of |A|, the public (W, Z) counts of a part or
 block, the dynamic-programming and literal distributions of weighted entry
 sums, the Klein parity rule per partition and the Klein total by direct
-enumeration, and the Gaussian binomials.
+enumeration, the Gaussian binomials, and the literal lists of the nonzero
+vectors of F_p^k and of GL_k(F_p) that the oracle never builds.
 
 The distributions count matrices of nonnegative integers with one row per
 part, row i summing to P_i (optionally with a forced zero first column),
@@ -25,7 +26,7 @@ from typing import NamedTuple
 from .counting import _as_parts, _unit_sign
 from .exact import binomial, exact_div, is_prime, multichoose
 from .oracle import DEFAULT_MULTISET_LIMIT, GuardExceeded
-from .partitions import check_part_count
+from .partitions import check_part_count, check_rank
 
 
 class RowCounts(NamedTuple):
@@ -299,3 +300,21 @@ def gaussian_binomial(m: int, n: int) -> GaussianBinomial:
             new.append(out)
         table = new
     return GaussianBinomial(m, n, tuple(table[n]))
+
+
+def nonzero_vectors(p: int, k: int) -> list:
+    """All nonzero vectors of F_p^k, lexicographically sorted: the order
+    that the oracle numbers without listing (see ``topotype.oracle``)."""
+    return [v for v in itertools.product(range(p), repeat=k) if any(v)]
+
+
+def gl_matrices(p: int, k: int) -> list:
+    """All invertible k x k matrices over F_p (k = 1 or 2)."""
+    check_rank(k)
+    if k == 1:
+        return [((a,),) for a in range(1, p)]
+    out = []
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p:
+            out.append(((a, b), (c, d)))
+    return out

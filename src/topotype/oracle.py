@@ -4,6 +4,13 @@ Everything here counts by listing actual objects: generating column
 multisets over F_p^k with their orbits under the full automorphism group
 GL_k(F_p).  Nothing is shared with the formula modules beyond basic
 binomials, so agreement between the two routes is meaningful evidence.
+
+Vectors are numbered, never listed: in the lexicographic order of the
+nonzero vectors of F_p^k, vector i (from 0) is numbered v = i + 1 =
+u*p + w, so (u, w) = divmod(v, p), and for k = 1 the vector is (w,), the
+case u = 0.  The line (cyclic subgroup) of (u, w) is numbered w/u mod p,
+or p when u = 0.  Nothing is tabulated over F_p: a memo holds only the
+scalars that the rows meet.
 """
 
 from __future__ import annotations
@@ -22,16 +29,6 @@ DEFAULT_STEP_LIMIT = 10**10
 
 class GuardExceeded(RuntimeError):
     """Enumeration refused: the estimated work exceeds the feasibility guard."""
-
-
-def _guard_encoding(p: int, k: int, R: int) -> None:
-    """Refuse (p^k-1)^R > 2^62.  The oracle once encoded an orbit as an
-    R-digit number in base p^k-1 that had to fit an int64; it now keeps
-    tuples, but the bound stays so that the cases ``verify`` skips, and the
-    reach that ``perfbench`` reports, do not move."""
-    V = p**k - 1
-    if V**R > 2**62:
-        raise GuardExceeded(f"encoding width |V|^R = {V**R} exceeds 64-bit range")
 
 
 def _guard_multisets(p: int, k: int, R: int, m: int, multiset_limit) -> None:
@@ -60,14 +57,7 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
     column, leaves a distinct nondecreasing prefix of R-1-k columns.  Each
     row is compared with one sorted R-column image per candidate basis: an
     ordered choice of k of the R columns, at most ``min(R!/(R-k)!, |GL_k|)``
-    of them.  ``_guard_encoding`` bounds R.  Memory is one representative
-    per orbit.
-
-    At the default limits the step guard never refuses alone: over every
-    prime below 400, k = 1, 2 and R = 3..69, only (3, 2, 31) and (3, 2, 32)
-    pass the multiset guard and fail the step guard, and the encoding guard
-    refuses both.  ``step_limit`` matters only when a caller lowers it
-    (``verify --guard-steps``).
+    of them.  Memory is one R-column representative per orbit.
     """
     ActionParams(p, k, R)
     m = multichoose(R - 1 - k, p**k - 1)
@@ -79,33 +69,11 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
             f"(p={p}, k={k}, R={R}): about {steps} canonicalization steps "
             f"exceeds the limit of {step_limit}"
         )
-    _guard_encoding(p, k, R)
-
-
-def nonzero_vectors(p: int, k: int) -> list:
-    """All nonzero vectors of F_p^k, lexicographically sorted.  The oracle
-    computes this order, never lists it: it numbers vector i (from 0) as
-    v = i + 1 = u*p + w, so (u, w) = divmod(v, p), and for k = 1 the vector
-    is (w,), the case u = 0.  The line (cyclic subgroup) of (u, w) is
-    numbered w/u mod p, or p when u = 0."""
-    return [v for v in itertools.product(range(p), repeat=k) if any(v)]
-
-
-def gl_matrices(p: int, k: int) -> list:
-    """All invertible k x k matrices over F_p (k = 1 or 2)."""
-    check_rank(k)
-    if k == 1:
-        return [((a,),) for a in range(1, p)]
-    out = []
-    for a, b, c, d in itertools.product(range(p), repeat=4):
-        if (a * d - b * c) % p:
-            out.append(((a, b), (c, d)))
-    return out
 
 
 def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: int = 0,
           pruned=None):
-    """Nondecreasing n-tuples of vector numbers (see ``nonzero_vectors``)
+    """Nondecreasing n-tuples of vector numbers (see the module docstring)
     from ``lo`` on, none equal to ``skip``, whose coordinates sum to
     -``sums`` mod p, in lexicographic order.  A number below p (u = 0)
     occurs at most caps[0] times, any other at most caps[1] times.  The
@@ -155,16 +123,24 @@ def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: i
         stack.extend(reversed(children))
 
 
-def _inverses(p: int) -> list:
-    """Table of 1/a mod p for a = 0..p-1, with 0 for a = 0."""
-    return [0] + [pow(a, p - 2, p) for a in range(1, p)]
+class _Inverses(dict):
+    """1/a mod p, computed for each a = 1..p-1 when first asked for."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __missing__(self, a: int) -> int:
+        self[a] = inv = pow(a, -1, self.p)
+        return inv
 
 
 def _imager(p: int, k: int):
     """The candidate images of rows over F_p^k.
 
     Returns ``images(row)``, a generator of the sorted images (lists) of a
-    sorted row of vector numbers (see ``nonzero_vectors``) under each
+    sorted row of vector numbers (see the module docstring) under each
     candidate map for its orbit minimum, the identity excepted.
 
     Of two sorted tuples of equal length, the smaller is the one whose
@@ -182,14 +158,7 @@ def _imager(p: int, k: int):
     images is the orbit minimum.  Maps come from one column per distinct
     value.
     """
-    inverse, scaled = _inverses(p), {}
-
-    def scale(d):
-        """Tables x -> (d*x mod p)*p and x -> d*x mod p."""
-        if d not in scaled:
-            lo = [d * x % p for x in range(p)]
-            scaled[d] = [y * p for y in lo], lo
-        return scaled[d]
+    inverse = _Inverses(p)
 
     def images(row):
         counts = _counts(row)
@@ -198,8 +167,8 @@ def _imager(p: int, k: int):
         if k == 1:  # g = c_j^{-1}
             for c in tops:
                 if c != 1:
-                    lo = scale(inverse[c])[1]
-                    yield sorted([lo[v] for v in row])
+                    d = inverse[c]
+                    yield sorted([d * v % p for v in row])
             return
         uw = [divmod(v, p) for v in row]
         line = {v: w * inverse[u] % p if u else p for v, (u, w) in zip(row, uw)}
@@ -222,8 +191,8 @@ def _imager(p: int, k: int):
                 iu, iw = divmod(ci, p)
                 if ci not in against:
                     against[ci] = [(iu * w - iw * u) % p for u, w in uw]
-                hi, lo = scale(inverse[(iu * jw - iw * ju) % p])
-                yield sorted([hi[a] + lo[b] for a, b in zip(dj, against[ci])])
+                d = inverse[(iu * jw - iw * ju) % p]
+                yield sorted([d * a % p * p + d * b % p for a, b in zip(dj, against[ci])])
 
     return images
 
@@ -253,7 +222,7 @@ def _spans(row, p: int, k: int) -> bool:
 
 
 def _columns(rows, p: int, k: int) -> list:
-    """Column tuples of rows of vector numbers (see ``nonzero_vectors``).
+    """Column tuples of rows of vector numbers (see the module docstring).
     Rows share one tuple per distinct number: an orbit table keeps them all."""
     vec = {v: divmod(v, p)[2 - k:] for v in set().union(*rows)}.__getitem__
     return [tuple(map(vec, row)) for row in rows]
@@ -271,7 +240,7 @@ def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
 
 
 def _numbers(columns, p: int, k: int) -> list:
-    """Sorted vector numbers (see ``nonzero_vectors``) of columns over
+    """Sorted vector numbers (see the module docstring) of columns over
     F_p^k; names a column of the wrong length or zero mod p."""
     out = []
     for v in columns:
@@ -286,8 +255,8 @@ def _numbers(columns, p: int, k: int) -> list:
 
 def _partition(row, p: int, inverse) -> PartitionType:
     """Partition type of a row of vector numbers: the multiset of its
-    columns' counts per line (see ``nonzero_vectors``); ``inverse`` is
-    ``_inverses(p)``."""
+    columns' counts per line (see the module docstring); ``inverse`` is an
+    ``_Inverses(p)``."""
     lines = _counts([w * inverse[u] % p if u else p
                      for u, w in map(divmod, row, itertools.repeat(p))])
     return PartitionType._descending(tuple(sorted(lines.values(), reverse=True)))
@@ -299,7 +268,7 @@ def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
     sizes."""
     check_prime(p)
     check_rank(k)
-    return _partition(_numbers(columns, p, k), p, _inverses(p))
+    return _partition(_numbers(columns, p, k), p, _Inverses(p))
 
 
 class OrbitTable(NamedTuple):
@@ -362,7 +331,7 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
                 if not _below(full, images):
                     reps.append(full)
     reps.sort()
-    inverse = _inverses(p)
+    inverse = _Inverses(p)
     by_partition = _counts([_partition(full, p, inverse) for full in reps])
     return OrbitTable(p, k, R, by_partition, len(reps), tuple(_columns(reps, p, k)))
 
@@ -371,7 +340,6 @@ def canonical_form(columns, p: int, k: int):
     """Canonical representative of one rank-k multiset under the full group."""
     check_prime(p)
     check_rank(k)
-    _guard_encoding(p, k, len(columns))
     row = _numbers(columns, p, k)
     if not _spans(row, p, k):
         raise ValueError(f"columns do not span F_{p}^{k}")

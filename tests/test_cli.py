@@ -215,6 +215,13 @@ def test_verify_reaches_p11(capsys):
     assert "PASS p=11 R=3 total: oracle=1 formula=1" in out
 
 
+def test_verify_runs_rank1_past_the_old_encoding_bound(capsys):
+    # (5^1 - 1)^40 > 2^62, yet the walk has at most 10,660 rows
+    code, out, _ = run(capsys, "verify", "--p", "5", "--k", "1", "--R", "40")
+    assert code == 0
+    assert out == "PASS p=5 R=40 {40}: oracle=623 formula=623\nfailures: 0  skipped: 0\n"
+
+
 def test_verify_bad_R_exits_with_reason(capsys):
     for k in ("1", "2"):
         code, out, err = run(capsys, "verify", "--p", "5", "--k", k, "--R", "2")

@@ -1,16 +1,24 @@
 import hashlib
 import itertools
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+import topotype.crosscheck as crosscheck
 import topotype.oracle as oracle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from topotype.counting import count_types_rank1
-from topotype.crosscheck import card_A_base3, distribution_bruteforce, full_distribution
+from topotype.crosscheck import (
+    card_A_base3,
+    distribution_bruteforce,
+    full_distribution,
+    gl_matrices,
+    nonzero_vectors,
+)
 from topotype.oracle import (
     GuardExceeded,
     canonical_form,
@@ -18,9 +26,7 @@ from topotype.oracle import (
     classify_partition,
     count_orbits,
     enumerate_generating_sets,
-    gl_matrices,
     group_order,
-    nonzero_vectors,
 )
 from topotype.partitions import PartitionType, admissible_partitions
 
@@ -377,17 +383,15 @@ def test_guard_step_limit():
         count_orbits(5, 2, 4, step_limit=10)
 
 
-def test_guard_encoding_width():
-    # multiset and step guards pass here, the 64-bit encoding bound does not
-    for call in (check_feasible, count_orbits):
-        with pytest.raises(GuardExceeded, match="encoding"):
-            call(3, 2, 21)
+def test_step_guard_stops_rank2_at_p3_from_R31():
+    check_feasible(3, 2, 30)
+    with pytest.raises(GuardExceeded, match="steps"):
+        check_feasible(3, 2, 31)
 
 
-def test_step_guard_never_refuses_alone_at_the_default_limits():
-    # every case the default step limit refuses is refused with it lifted
-    # too: only (3, 2, 31) and (3, 2, 32) fail it, and the encoding bound
-    # refuses both
+def test_step_guard_alone_refuses_only_p3_rank2_at_R31_and_R32():
+    # with the step limit lifted every other case keeps its outcome, and
+    # these two pass
     refused_by_steps = []
     for p in [q for q in range(2, 400) if all(q % d for d in range(2, q))]:
         for k in (1, 2):
@@ -401,11 +405,11 @@ def test_step_guard_never_refuses_alone_at_the_default_limits():
                         outcomes.append(str(exc))
                 if "steps" in outcomes[0]:
                     refused_by_steps.append((p, k, R))
-                assert (outcomes[0] == "pass") == (outcomes[1] == "pass"), (p, k, R)
+                else:
+                    assert outcomes[0] == outcomes[1], (p, k, R)
     assert refused_by_steps == [(3, 2, 31), (3, 2, 32)]
     for R in (31, 32):
-        with pytest.raises(GuardExceeded, match="encoding"):
-            check_feasible(3, 2, R, step_limit=10**100)
+        check_feasible(3, 2, R, step_limit=10**100)
 
 
 def test_orbit_table_count_takes_a_tuple_or_a_partition_type():
@@ -517,8 +521,8 @@ def test_canonical_form_names_columns_that_do_not_span(columns, k):
 
 
 def test_the_oracle_computes_vector_indices(monkeypatch):
-    # ``nonzero_vectors`` is the reference order only; no oracle entry
-    # lists the vectors to read or write an index
+    # ``crosscheck.nonzero_vectors`` is the reference order only; no oracle
+    # entry lists the vectors to read or write an index
     calls = (lambda: count_orbits(5, 2, 5), lambda: count_orbits(11, 1, 6),
              lambda: canonical_form([(3, 4), (6, 1), (3, 4), (0, 5), (2, 0)], 7, 2),
              lambda: list(enumerate_generating_sets(3, 2, 5)))
@@ -527,7 +531,8 @@ def test_the_oracle_computes_vector_indices(monkeypatch):
     def listed(p, k):
         raise AssertionError(f"nonzero_vectors({p}, {k}) called")
 
-    monkeypatch.setattr(oracle, "nonzero_vectors", listed)
+    assert not hasattr(oracle, "nonzero_vectors")
+    monkeypatch.setattr(crosscheck, "nonzero_vectors", listed)
     assert [call() for call in calls] == expected
 
 
@@ -541,10 +546,20 @@ def test_oracle_rejects_a_non_prime_p(p):
             call()
 
 
-def test_canonical_form_applies_the_encoding_guard():
-    # (p^2 - 1)^R > 2^62: the orbit codes would overflow int64, even for
-    # the three columns at p = 40009.
-    with pytest.raises(GuardExceeded, match="encoding"):
-        canonical_form([(1, 0), (0, 1)] * 5, 101, 2)
-    with pytest.raises(GuardExceeded, match="encoding"):
-        canonical_form([(1, 0), (0, 1), (1, 1)], 40009, 2)
+def test_canonical_form_returns_the_orbit_minimum_at_large_p():
+    # no table sized by p is built, so p = 10^9 + 7 takes milliseconds
+    p = 10**9 + 7
+    assert canonical_form([(1, 0), (0, 1), (p - 1, p - 1)], p, 2) == (
+        (0, 1), (1, 0), (p - 1, p - 1))
+    assert canonical_form([(1, 0), (0, 1)] * 5, 101, 2) == ((0, 1),) * 5 + ((1, 0),) * 5
+
+
+def test_count_orbits_memory_does_not_grow_with_p():
+    tracemalloc.start()
+    try:
+        table = count_orbits(1009, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert table.total == 169 == count_types_rank1(3, 1009).T
