@@ -37,20 +37,27 @@ def _lazy_module(name: str):
 oracle = _lazy_module(f"{__package__}.oracle")
 
 
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{token.strip()!r} is not an integer") from None
+
+
 def _parse_ints(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [_int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_range(text: str) -> list:
     """Parse '3..6' as an inclusive range, else a comma list or single int."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
+        return list(range(_int(lo), _int(hi) + 1))
     return _parse_ints(text)
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
     return value
@@ -205,7 +212,7 @@ def cmd_table(args) -> int:
     from .tables import build_table
 
     R = args.R
-    rows = build_table(R, _parse_ints(args.primes) if args.primes else None)
+    rows = build_table(R, args.primes or None)
     branches = [(row, {"modulus": str(row.fit.modulus), "class": str(c),
                        "coefficients": [str(x) for x in poly.coeffs],
                        "samples": [[str(q), str(t)] for q, t in row.samples]})
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="fit and render a table section")
     sp.add_argument("--R", type=int, required=True)
-    sp.add_argument("--primes", type=str, default=None,
+    sp.add_argument("--primes", type=_parse_ints, default=None,
                     help="comma-separated sample primes to display; each one above "
                          "a row's largest part is checked against the row's fit")
     sp.set_defaults(func=cmd_table)

@@ -69,19 +69,22 @@ def _unit_sign(P: int, p: int) -> int:
     return 1 if r == 0 else -1 if r == 1 else 0
 
 
+def _signed(p: int, parts) -> dict:
+    """P -> (b_P, s_P) for each distinct part P, with b_P = binomial(P+p-2,
+    P) and s_P as in ``_unit_sign``: all that |A| reads."""
+    return {P: (binomial(P + p - 2, P), _unit_sign(P, p)) for P in set(parts)}
+
+
 def _values(p: int, parts, ns, k: int = 2) -> tuple:
     """The values one call shares across its partitions, computed once per
-    distinct part P and once per number of parts n: P -> (b_P, s_P), with
-    b_P = binomial(P+p-2, P) and s_P as in ``_unit_sign``; P -> {d':
-    multichoose(P/d', (p-1)/d')} for each d' > 1 dividing P and p-1, the
-    Burnside factors, keyed by d' ascending; and n -> marking_count(p, n, k)
-    for rank k."""
-    signed, burnside = {}, {}
-    for P in set(parts):
-        signed[P] = binomial(P + p - 2, P), _unit_sign(P, p)
-        burnside[P] = {dp: multichoose(P // dp, (p - 1) // dp)
-                       for dp in divisors_greater_than_one(math.gcd(p - 1, P))}
-    return signed, burnside, {n: marking_count(p, n, k) for n in ns}
+    distinct part P and once per number of parts n: ``_signed``'s P -> (b_P,
+    s_P); P -> {d': multichoose(P/d', (p-1)/d')} for each d' > 1 dividing P
+    and p-1, the Burnside factors, keyed by d' ascending; and n ->
+    marking_count(p, n, k) for rank k."""
+    burnside = {P: {dp: multichoose(P // dp, (p - 1) // dp)
+                    for dp in divisors_greater_than_one(math.gcd(p - 1, P))}
+                for P in set(parts)}
+    return _signed(p, parts), burnside, {n: marking_count(p, n, k) for n in ns}
 
 
 def card_A(partition, p: int) -> int:
@@ -100,7 +103,7 @@ def card_A(partition, p: int) -> int:
     check_part_count(len(parts), p)
     if min(parts) < 0:
         raise ValueError("part must be nonnegative")
-    return _card_A(parts, _values(p, parts, ())[0], p)
+    return _card_A(parts, _signed(p, parts), p)
 
 
 def _card_A(parts: tuple, signed: dict, p: int) -> int:

@@ -1,10 +1,10 @@
 """Exact integer and rational arithmetic helpers.
 
-Everything in this module is exact: integers are arbitrary precision,
-rationals are ``fractions.Fraction``, and polynomial evaluation is Horner
-over exact types.  Interpolation runs in integers over one common
-denominator and makes a ``Fraction`` only for each final coefficient.  No
-floating point anywhere.
+Everything in this module is exact: integers are arbitrary precision and
+rationals are ``fractions.Fraction``.  Interpolation, evaluation and
+rendering run in integers over one common denominator; interpolation makes
+a ``Fraction`` only for each final coefficient.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -114,43 +114,33 @@ class RationalPolynomial:
         """Degree, with the zero polynomial conventionally at -1."""
         return len(self.coeffs) - 1
 
+    def _over_lcm(self) -> tuple:
+        """(den, ints) with den the lcm of the coefficients' denominators and
+        ints[k] = coeffs[k] * den: the polynomial is sum_k ints[k] x^k / den."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+
     def __call__(self, x) -> Fraction:
+        """Horner's rule on the integer numerators, then one division by den."""
         from fractions import Fraction
 
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        den, ints = self._over_lcm()
+        acc = 0
+        for c in reversed(ints):
             acc = acc * x + c
-        return acc
+        return Fraction(acc, den)
 
     def pretty(self, var: str = "p") -> str:
         """Render as an integer-coefficient polynomial over a common denominator."""
-        if not self.coeffs:
-            return "0"
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        terms = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power] * den
-            assert c.denominator == 1
-            c = c.numerator
-            if c == 0:
-                continue
-            if power == 0:
-                body = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-                body = f"{mag}{var}" + (f"^{power}" if power > 1 else "")
-            terms.append(("-" if c < 0 else "+", body))
-        if not terms:
-            return "0"
-        sign, body = terms[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        if den != 1:
-            text = f"({text})/{den}"
-        return text
+        den, ints = self._over_lcm()
+        text = ""
+        for power, c in reversed(list(enumerate(ints))):
+            if c:
+                body = (str(abs(c)) if power == 0 else ("" if abs(c) == 1 else f"{abs(c)}*")
+                        + var + (f"^{power}" if power > 1 else ""))
+                text += (f" {'-' if c < 0 else '+'} " if text else "-" if c < 0 else "") + body
+        text = text or "0"
+        return f"({text})/{den}" if den > 1 else text
 
 
 def interpolate(points) -> RationalPolynomial:

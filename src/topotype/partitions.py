@@ -189,12 +189,13 @@ def parse_partition(text: str) -> PartitionType:
         token = token.strip()
         if not token:
             raise ValueError(f"empty part in partition {text!r}")
-        if "^" in token:
-            base_s, _, exp_s = token.partition("^")
-            base, exp = int(base_s), int(exp_s)
-            if exp < 1:
-                raise ValueError(f"exponent must be positive in {token!r}")
-            parts.extend([base] * exp)
-        else:
-            parts.append(int(token))
+        base_s, caret, exp_s = token.partition("^")
+        try:
+            base, exp = int(base_s), int(exp_s) if caret else 1
+        except ValueError:
+            raise ValueError(f"part {token!r} of partition {text!r} is not an integer "
+                             "or base^exponent") from None
+        if exp < 1:
+            raise ValueError(f"exponent must be positive in {token!r}")
+        parts.extend([base] * exp)
     return PartitionType(tuple(parts))

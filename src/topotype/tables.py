@@ -30,27 +30,17 @@ def fit_floor(partition: PartitionType) -> int:
     return max(3, max(partition.parts) + 1, partition.n - 1)
 
 
-class StratifiedPolynomial:
+class StratifiedPolynomial(NamedTuple):
     """One exact polynomial per residue class of p mod ``modulus``, valid for
     p >= ``min_prime``."""
 
-    __slots__ = ("partition", "modulus", "branches", "min_prime")
+    partition: PartitionType
+    modulus: int
+    branches: dict  # residue class -> RationalPolynomial
 
-    def __init__(self, partition: PartitionType, modulus: int, branches: dict):
-        self.partition = partition
-        self.modulus = modulus
-        self.branches = branches  # residue class -> RationalPolynomial
-        self.min_prime = fit_floor(partition)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.partition, self.modulus, self.branches)
-                == (other.partition, other.modulus, other.branches))
-
-    def __repr__(self):
-        return (f"StratifiedPolynomial(partition={self.partition!r}, modulus={self.modulus!r}, "
-                f"branches={self.branches!r}, min_prime={self.min_prime!r})")
+    @property
+    def min_prime(self) -> int:
+        return fit_floor(self.partition)
 
     def branch_for(self, p: int) -> RationalPolynomial:
         if p < self.min_prime:
@@ -97,10 +87,6 @@ def default_modulus(partition: PartitionType) -> int:
     return 2 * math.gcd(*partition.parts)
 
 
-def _unit_classes(modulus: int) -> list:
-    return [c for c in range(modulus) if math.gcd(c, modulus) == 1]
-
-
 def _primes_in_class(c: int, modulus: int, count: int, floor: int):
     """First ``count`` primes >= max(5, floor) congruent to c mod modulus."""
     out = []
@@ -127,7 +113,7 @@ def fit_partition_polynomial(partition, degree_bound=None, modulus=None, primes=
     db = default_degree_bound(part) if degree_bound is None else int(degree_bound)
     mod = default_modulus(part) if modulus is None else int(modulus)
     floor = fit_floor(part)
-    classes = _unit_classes(mod)
+    classes = [c for c in range(mod) if math.gcd(c, mod) == 1]
     need = db + 2  # fit points + at least one held-out
     if primes is None:
         by_class = {c: _primes_in_class(c, mod, need, floor) for c in classes}
@@ -182,10 +168,11 @@ class TableRow(NamedTuple):
 def build_table(R: int, primes=None) -> list:
     """Fit every row of the R-section from the automatic prime pool.
     ``primes`` selects the sample values displayed (each distinct supplied
-    prime with p >= n-1), and every one of them at or above the row's fit
-    floor must agree with the fit: a mismatch raises ``PolynomialFitError``
-    naming the row and the prime.  A supplied value that is not an odd prime
-    raises ``PolynomialFitError`` naming it, whether or not a row shows it."""
+    prime with p >= n-1; else the first four primes p >= n-1), and every
+    sample at or above the row's fit floor must agree with the fit: a
+    mismatch raises ``PolynomialFitError`` naming the row and the prime.  A
+    supplied value that is not an odd prime raises ``PolynomialFitError``
+    naming it, whether or not a row shows it."""
     supplied = sorted(set(primes or ()))
     for q in supplied:
         if q == 2 or not is_prime(q):
@@ -197,7 +184,7 @@ def build_table(R: int, primes=None) -> list:
         samples = tuple((q, count_types_rank2(part, q).T)
                         for q in shown or _primes_in_class(0, 1, 4, part.n - 1))
         for q, t in samples:
-            if q in shown and q >= fit.min_prime and fit(q) != t:
+            if q >= fit.min_prime and fit(q) != t:
                 raise PolynomialFitError(
                     f"{part}: supplied prime {q} gives {t}, the fit gives {fit(q)}"
                 )

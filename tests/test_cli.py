@@ -351,3 +351,56 @@ def test_table_rejects_supplied_values_that_are_not_odd_primes(capsys):
         assert code == 2, value
         assert f"supplied value {value} is not an odd prime" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--p", "5", "--k", "2", "--partition", "2,x"],
+     "error: part 'x' of partition '2,x' is not an integer"),
+    (["count", "--p", "5", "--k", "2", "--partition", "2^x,2"],
+     "error: part '2^x' of partition '2^x,2' is not an integer"),
+    (["table", "--R", "4", "--primes", "5,x"], "argument --primes: 'x' is not an integer"),
+    (["verify", "--p", "x", "--k", "2", "--R", "3"], "argument --p: 'x' is not an integer"),
+    (["verify", "--p", "5", "--k", "2", "--R", "3..x"], "argument --R: 'x' is not an integer"),
+    (["verify", "--p", "5", "--k", "2", "--R", "y..4"], "argument --R: 'y' is not an integer"),
+    (["verify", "--p", "5", "--k", "2", "--R", "3", "--guard-steps", "z"],
+     "argument --guard-steps: 'z' is not an integer"),
+], ids=["partition", "exponent", "table-primes", "verify-p", "verify-R-high", "verify-R-low",
+        "guard-steps"])
+def test_bad_integer_input_names_its_flag(capsys, argv, message):
+    # exit 2 with the bad token and where it was given; no helper's name
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert "invalid" not in captured.err and "_parse" not in captured.err
+    assert captured.out == ""
+
+
+def test_table_primes_skips_empty_tokens(capsys):
+    # empty tokens are dropped, and an empty list shows the automatic samples
+    _, listed, _ = run(capsys, "table", "--R", "4", "--primes", "5,,7,")
+    assert listed == run(capsys, "table", "--R", "4", "--primes", "5,7")[1]
+    assert run(capsys, "table", "--R", "4", "--primes", "")[1] == run(capsys, "table", "--R", "4")[1]
+
+
+def test_console_entry_and_module_guard(capsys):
+    # the console script runs ``entry()``; ``python -m topotype.cli`` runs the
+    # ``__main__`` guard: same stdout as ``main``, same exit codes
+    src = str(Path(topotype.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    entry = [sys.executable, "-c", "from topotype.cli import entry; entry()"]
+    argv = ["count", "--p", "7", "--k", "2", "--partition", "3,2,2"]
+    result = subprocess.run(entry + argv, capture_output=True, text=True, env=env)
+    assert result.returncode == 0
+    assert result.stdout == run(capsys, *argv)[1]
+    result = subprocess.run(entry + ["verify", "--p", "x", "--k", "2", "--R", "3"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 2
+    assert "error:" in result.stderr and result.stdout == ""
+    result = subprocess.run([sys.executable, "-m", "topotype.cli", "--help"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: topotype")

@@ -280,6 +280,17 @@ def test_count_types_tests_primality_once_per_call(monkeypatch):
     assert len(prime_tests) == 1
 
 
+def test_card_A_computes_no_burnside_factors(monkeypatch):
+    # |A| reads only each part's (b_P, s_P): the Burnside factors, which a
+    # count of the same parts at the same p does compute, are not computed
+    multichooses = _count_calls(monkeypatch, exact.multichoose)
+    divisor_lists = _count_calls(monkeypatch, exact.divisors_greater_than_one)
+    assert card_A((6, 6, 4, 2), 7) == card_A_shortcut((6, 6, 4, 2), 7)
+    assert multichooses == [] and divisor_lists == []
+    assert count_types_rank2((6, 6, 4, 2), 7).burnside_terms
+    assert multichooses and divisor_lists
+
+
 def _card_A_quadratic(parts, p):
     """The pairwise recursion rebuilding each suffix's block value from
     scratch with the public ``block_wz``: the reference for ``card_A``."""

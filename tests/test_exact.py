@@ -179,3 +179,31 @@ def test_interpolate_rejects_equal_abscissae_of_different_types():
 
 def test_interpolate_empty_is_zero():
     assert interpolate([]).coeffs == ()
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ((0, -1), "-p"),
+    ((5, 0, -2), "-2*p^2 + 5"),
+    ((-1, 1, -1), "-p^2 + p - 1"),
+    ((1, 1), "p + 1"),
+    ((-1, -1), "-p - 1"),
+    ((0, 0, 1), "p^2"),
+    ((3, -1, 2), "2*p^2 - p + 3"),
+    ((Fraction(3, 4),), "(3)/4"),
+    ((Fraction(-3, 4),), "(-3)/4"),
+    ((-7,), "-7"),
+    ((0, Fraction(-1, 3), Fraction(1, 6)), "(p^2 - 2*p)/6"),
+])
+def test_pretty_signs_unit_coefficients_and_denominators(coeffs, text):
+    # a leading minus has no space, a coefficient of +-1 prints no "1*",
+    # zero terms are skipped, and "/den" appears only when den > 1
+    assert RationalPolynomial(coeffs).pretty() == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ordinate, max_size=10), _abscissa)
+def test_polynomial_value_is_the_sum_of_its_terms(coeffs, x):
+    # integer and fractional x; the value is exact and a Fraction
+    value = RationalPolynomial(coeffs)(x)
+    assert isinstance(value, Fraction)
+    assert value == sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(coeffs))

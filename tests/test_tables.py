@@ -72,6 +72,16 @@ def test_fit_raises_below_min_prime():
     assert fit(7) == count_types_rank2(part, 7).T
 
 
+def test_fits_read_min_prime_from_fit_floor_and_compare_by_value():
+    rows = build_table(8)
+    for row in rows:
+        fit = row.fit
+        assert fit.min_prime == fit_floor(fit.partition)
+        assert fit == fit_partition_polynomial(fit.partition)
+    for row, other in zip(rows, rows[1:]):
+        assert row.fit != other.fit
+
+
 def test_fit_rejects_non_unit_class():
     # 6 is above the floor of {2,2} but 6 % 4 = 2 is no unit class mod 4
     fit = fit_partition_polynomial(PartitionType((2, 2)))
