@@ -9,8 +9,8 @@ Vectors are numbered, never listed: in the lexicographic order of the
 nonzero vectors of F_p^k, vector i (from 0) is numbered v = i + 1 =
 u*p + w, so (u, w) = divmod(v, p), and for k = 1 the vector is (w,), the
 case u = 0.  The line (cyclic subgroup) of (u, w) is numbered w/u mod p,
-or p when u = 0.  Nothing is tabulated over F_p: a memo holds only the
-scalars that the rows meet.
+or p when u = 0.  Nothing is tabulated over F_p: memos hold only the
+scalars, lines and column tuples that the rows meet.
 """
 
 from __future__ import annotations
@@ -34,18 +34,13 @@ class GuardExceeded(RuntimeError):
 def _guard_multisets(p: int, k: int, R: int, m: int, multiset_limit) -> None:
     limit = DEFAULT_MULTISET_LIMIT if multiset_limit is None else int(multiset_limit)
     if m > limit:
-        raise GuardExceeded(
-            f"(p={p}, k={k}, R={R}): about {m} column multisets exceeds the "
-            f"limit of {limit}"
-        )
+        raise GuardExceeded(f"(p={p}, k={k}, R={R}): about {m} column multisets "
+                            f"exceeds the limit of {limit}")
 
 
 def group_order(p: int, k: int) -> int:
     """|GL_k(F_p)|."""
-    order = 1
-    for i in range(k):
-        order *= p**k - p**i
-    return order
+    return math.prod(p**k - p**i for i in range(k))
 
 
 def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -> None:
@@ -55,9 +50,9 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
     ``multichoose(R-1-k, p^k-1)`` rows, since removing one e_k and, for
     k = 2, one e_1 from a row walked for (M, M2), and its forced last
     column, leaves a distinct nondecreasing prefix of R-1-k columns.  Each
-    row is compared with one sorted R-column image per candidate basis: an
-    ordered choice of k of the R columns, at most ``min(R!/(R-k)!, |GL_k|)``
-    of them.  Memory is one R-column representative per orbit.
+    row is compared with at most ``min(R!/(R-k)!, |GL_k|)`` images, one per
+    candidate basis, of at most R steps each (one per run): an upper bound.
+    Memory is one R-column representative per orbit.
     """
     ActionParams(p, k, R)
     m = multichoose(R - 1 - k, p**k - 1)
@@ -65,30 +60,29 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
     step_limit = DEFAULT_STEP_LIMIT if step_limit is None else int(step_limit)
     steps = m * R * min(math.perm(R, k), group_order(p, k))
     if steps > step_limit:
-        raise GuardExceeded(
-            f"(p={p}, k={k}, R={R}): about {steps} canonicalization steps "
-            f"exceeds the limit of {step_limit}"
-        )
+        raise GuardExceeded(f"(p={p}, k={k}, R={R}): about {steps} canonicalization "
+                            f"steps exceeds the limit of {step_limit}")
 
 
 def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: int = 0,
           pruned=None):
     """Nondecreasing n-tuples of vector numbers (see the module docstring)
-    from ``lo`` on, none equal to ``skip``, whose coordinates sum to
-    -``sums`` mod p, in lexicographic order.  A number below p (u = 0)
-    occurs at most caps[0] times, any other at most caps[1] times.  The
-    first n-1 entries are walked depth first and the last is forced by the
-    sums; ``pruned(prefix)`` true drops every tuple extending ``prefix``."""
+    from ``lo`` on, none equal to ``skip``, with coordinate sums -``sums``
+    mod p, in lexicographic order, as runs ``((v, m), ...)``: each distinct
+    v once, ascending, with its count m.  Numbers below p (u = 0) occur at
+    most caps[0] times, others caps[1].  The first n-1 entries are walked
+    depth first, the last is forced by the sums; ``pruned(prefix)`` true
+    drops every tuple extending ``prefix``."""
     top = p**k
     if n < 2:  # nothing to walk: the forced entry alone, or nothing
         f = -sums[0] % p * p + -sums[1] % p
         if n == 0 and f == 0 or n == 1 and f >= lo and f != skip:
-            yield (f,)[:n]
+            yield ((f, 1),)[:n]
         return
-    stack = [((), 0, *sums)]  # (prefix, copies of its last entry, coordinate sums)
+    stack = [((), n, *sums)]  # (prefix, entries left, coordinate sums)
     while stack:
-        free, run, su, sw = stack.pop()
-        last, left = free[-1] if free else lo, n - len(free)
+        free, left, su, sw = stack.pop()
+        last, run = free[-1] if free else (lo, 0)
         if left == 2:  # each v = (u, w) and its forced f = (fu, c - w), with f >= v
             c = -sw % p
             for u in range(last // p, top // p):
@@ -103,9 +97,9 @@ def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: i
                     continue
                 for w in ws:
                     v, f = base + w, fu * p + (c - w) % p
-                    r = run + 1 if v == last else 1
+                    head, r = (free[:-1], run + 1) if v == last else (free, 1)
                     if (r < cap or r == cap and f != v) and v != skip and f != skip:
-                        yield free + (v, f)
+                        yield head + ((v, r + 1),) if f == v else head + ((v, r), (f, 1))
             continue
         children = []
         for u in range(last // p, top // p):
@@ -117,115 +111,115 @@ def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: i
                     continue
                 # room after v: its spare copies, then every larger number
                 room = cap - r + (base + p - 1 - v) * cap + above
-                prefix = free + (v,)
-                if room >= left - 1 and (pruned is None or not pruned(prefix)):
-                    children.append((prefix, r, su + u, sw + v - base))
+                # for k = 1 a leaf's pair sums to c: is there one from v on?
+                if room < left - 1 or k == 1 and left == 3 and v > (c := -(sw + v) % p) // 2 and (
+                        v > (c + p) // 2 or c + 1 > (c + p) // 2):
+                    continue
+                prefix = (free[:-1] if v == last else free) + ((v, r),)
+                if pruned is None or not pruned(prefix):
+                    children.append((prefix, left - 1, su + u, sw + v - base))
         stack.extend(reversed(children))
 
 
-class _Inverses(dict):
-    """1/a mod p, computed for each a = 1..p-1 when first asked for."""
+class _Memo(dict):
+    """``f(key)``, computed for each key when first asked for."""
 
-    __slots__ = ("p",)
+    def __init__(self, f):
+        self.f = f
 
-    def __init__(self, p: int):
-        self.p = p
-
-    def __missing__(self, a: int) -> int:
-        self[a] = inv = pow(a, -1, self.p)
-        return inv
+    def __missing__(self, key):
+        self[key] = value = self.f(key)
+        return value
 
 
-def _imager(p: int, k: int):
-    """The candidate images of rows over F_p^k.
+def _imager(p: int, k: int, R: int):
+    """The candidate images of rows of at most R columns over F_p^k.
 
-    Returns ``images(row)``, a generator of the sorted images (lists) of a
-    sorted row of vector numbers (see the module docstring) under each
-    candidate map for its orbit minimum, the identity excepted.
+    Returns ``least(runs, M, first)``: of a row given as runs (see ``_walk``)
+    with largest multiplicity M, the least image under the candidate maps
+    for its orbit minimum, bar the identity, if it sorts below the row, else
+    None; with ``first``, the first such image.  Rows and images compare as
+    key lists (``_keys``), or for M = 1 as plain numbers; maps send runs to runs.
 
-    Of two sorted tuples of equal length, the smaller is the one whose
-    multiplicity vector, read in vector order, is larger.  The first vector
-    is e_k, so the minimizing g sends a column c_j of maximal multiplicity M
-    to e_k.  For k = 1 that fixes g = c_j^{-1}.  For k = 2, the next
-    vectors, (0,2)..(0,p-1), are the multiples of e_2 = (0,1), whose
-    preimages t*c_j depend on c_j alone, and then comes e_1 = (1,0), the
-    smallest vector off that line, which a map fixing e_2 can reach from
-    any column off the line of c_j.  So the preimage c_i of e_1 has the
-    largest multiplicity among the columns off the line of c_j, and
-    g = [c_i c_j]^{-1}.  That largest multiplicity is M unless every column
-    of multiplicity M lies on one line, and then it is the same for every
-    c_j.  These conditions are necessary, so the least of the row and its
-    images is the orbit minimum.  Maps come from one column per distinct
-    value.
+    Of two sorted tuples of equal length, the smaller has the larger
+    multiplicity vector, read in vector order, and e_k is the first vector,
+    so the minimizing g sends a column c_j of maximal multiplicity M to e_k:
+    for k = 1, g = c_j^{-1}.  For k = 2 the multiples (0,2)..(0,p-1) of
+    e_2 = (0,1) come next, whose preimages t*c_j depend on c_j alone, then
+    e_1 = (1,0), which a map fixing e_2 can reach from any column off the
+    line of c_j.  So the preimage c_i of e_1 has the largest multiplicity
+    off that line (M unless every column of multiplicity M lies on one
+    line, and then the same for every c_j), and g = [c_i c_j]^{-1}.  These
+    conditions are necessary, so the least of the row and its images is the
+    orbit minimum.
     """
-    inverse = _Inverses(p)
+    inverse, R1, pR1 = _Memo(lambda a: pow(a, -1, p)), R + 1, p * (R + 1)
 
-    def images(row):
-        counts = _counts(row)
-        M = max(counts.values())
-        tops = [v for v, m in counts.items() if m == M]
+    def least(runs, M, first):
+        plain, found = M == 1, None
+        tops = [j for j, (_, m) in enumerate(runs) if m == M]  # the c_j
+        if k == 1 and len(tops) == 1 and runs[tops[0]][0] == 1:  # only the identity
+            return None
+        best = [v for v, _ in runs] if plain else _keys(runs, R)
         if k == 1:  # g = c_j^{-1}
-            for c in tops:
-                if c != 1:
-                    d = inverse[c]
-                    yield sorted([d * v % p for v in row])
-            return
-        uw = [divmod(v, p) for v in row]
-        line = {v: w * inverse[u] % p if u else p for v, (u, w) in zip(row, uw)}
-        top_lines = {line[c] for c in tops}
-        if len(top_lines) == 1:  # c_i: the most frequent columns off that line
-            off = {v: m for v, m in counts.items() if line[v] not in top_lines}
-            most = max(off.values(), default=0)
-            partners = [v for v, m in off.items() if m == most]
-        else:
-            partners = tops
-        # g v = d (D(v, c_j), D(c_i, v)) with D(a, b) = a_u b_w - a_w b_u
-        # and d = 1/D(c_i, c_j): g c_j = e_2, g c_i = e_1
-        against = {}  # D(c_i, v) for every column v
-        for cj in tops:
-            ju, jw = divmod(cj, p)
-            dj = [(u * jw - w * ju) % p for u, w in uw]
-            for ci in partners:
-                if line[ci] == line[cj] or (cj, ci) == (1, p):
+            for d in [inverse[runs[j][0]] for j in tops if runs[j][0] != 1]:
+                image = sorted([d * v % p for v, _ in runs] if plain
+                               else [d * v % p * R1 - m for v, m in runs])
+                if image < best:
+                    if first:
+                        return image
+                    best = found = image
+            return found
+        # g v = d (D(v, c_j), D(c_i, v)), D(a, b) = a_u b_w - a_w b_u, d = 1/D(c_i, c_j)
+        uw, against = [divmod(v, p) for v, _ in runs], {}  # against: D(c_i, v)
+        for j in tops:
+            ju, jw = uw[j]
+            dj = [(u * jw - w * ju) % p for u, w in uw]  # D(v, c_j): 0 on its line
+            if j == tops[0]:  # c_i: the most frequent columns off this line, or a top
+                most = max([m for (_, m), d in zip(runs, dj) if d], default=0)
+                partners = [i for i, ((_, m), d) in enumerate(zip(runs, dj))
+                            if m == most and (d or m == M)]
+            for i in partners:
+                if not dj[i] or (runs[j][0], runs[i][0]) == (1, p):  # same line, identity
                     continue
-                iu, iw = divmod(ci, p)
-                if ci not in against:
-                    against[ci] = [(iu * w - iw * u) % p for u, w in uw]
-                d = inverse[(iu * jw - iw * ju) % p]
-                yield sorted([d * a % p * p + d * b % p for a, b in zip(dj, against[ci])])
+                if i not in against:
+                    iu, iw = uw[i]
+                    against[i] = [(iu * w - iw * u) % p for u, w in uw]
+                d = inverse[dj[i]]
+                image = sorted([d * a % p * p + d * b % p for a, b in zip(dj, against[i])]
+                               if plain else [d * a % p * pR1 + d * b % p * R1 - m
+                                              for a, b, (_, m) in zip(dj, against[i], runs)])
+                if image < best:
+                    if first:
+                        return image
+                    best = found = image
+        return found
 
-    return images
-
-
-def _counts(row) -> dict:
-    """Multiplicity of each entry of ``row``, in order of first appearance."""
-    counts = {}
-    for v in row:
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
-def _below(row, images) -> bool:
-    """Whether one of ``images(row)`` sorts below the row itself; the first
-    one that does ends the search."""
-    row = list(row)
-    return any(image < row for image in images(row))
+    return least
 
 
-def _spans(row, p: int, k: int) -> bool:
-    """Whether the vector numbers ``row`` span F_p^k: for k = 2, some column
-    lies off the line of the first."""
-    if len(row) < k:
-        return False
-    u0, w0 = divmod(row[0], p)
-    return k == 1 or any((v // p * w0 - v % p * u0) % p for v in row)
+def _keys(runs, R: int) -> list:
+    """Sort keys ``v*(R+1) - m`` of a row of at most R columns given as runs.
+
+    Lemma: for two sorted tuples of equal length, the key lists order them
+    exactly as the tuples are ordered.  At the first run where they differ,
+    a smaller v, or the same v with more copies m, puts the smaller entry
+    first, and 1 <= m <= R makes the key smaller in just those cases; equal
+    lengths leave no run over."""
+    return [v * (R + 1) - m for v, m in runs]
 
 
-def _columns(rows, p: int, k: int) -> list:
-    """Column tuples of rows of vector numbers (see the module docstring).
-    Rows share one tuple per distinct number: an orbit table keeps them all."""
-    vec = {v: divmod(v, p)[2 - k:] for v in set().union(*rows)}.__getitem__
-    return [tuple(map(vec, row)) for row in rows]
+def _spans(runs, p: int, k: int) -> bool:
+    """Whether runs span F_p^k: a column, and for k = 2 one off the first's line."""
+    u0, w0 = divmod(runs[0][0], p) if runs else (0, 0)
+    return bool(runs) if k == 1 else any((v // p * w0 - v % p * u0) % p for v, _ in runs)
+
+
+def _expander(p: int, k: int):
+    """``columns(runs)``: the column tuple of a row given as runs.  Each run is
+    converted once, so the rows share its tuples: an orbit table keeps them."""
+    copies = _Memo(lambda run: (divmod(run[0], p)[2 - k:],) * run[1]).__getitem__
+    return lambda runs: tuple(itertools.chain.from_iterable(map(copies, runs)))
 
 
 def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
@@ -234,13 +228,12 @@ def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
     counts the walk's prefixes."""
     ActionParams(p, k, R)
     _guard_multisets(p, k, R, multichoose(R - 1, p**k - 1), multiset_limit)
-    for row in _walk(p, k, R, (0, 0), (R, R)):
-        if _spans(row, p, k):
-            yield tuple(divmod(v, p)[2 - k:] for v in row)
+    yield from map(_expander(p, k),
+                   filter(lambda runs: _spans(runs, p, k), _walk(p, k, R, (0, 0), (R, R))))
 
 
-def _numbers(columns, p: int, k: int) -> list:
-    """Sorted vector numbers (see the module docstring) of columns over
+def _runs(columns, p: int, k: int) -> tuple:
+    """Runs (see ``_walk``) of the sorted vector numbers of columns over
     F_p^k; names a column of the wrong length or zero mod p."""
     out = []
     for v in columns:
@@ -250,31 +243,35 @@ def _numbers(columns, p: int, k: int) -> list:
         if not any(r):
             raise ValueError(f"column {tuple(v)} is zero mod {p}")
         out.append(r[0] * p + r[1] if k == 2 else r[0])
-    return sorted(out)
+    return tuple((v, len(list(copies))) for v, copies in itertools.groupby(sorted(out)))
 
 
-def _partition(row, p: int, inverse) -> PartitionType:
-    """Partition type of a row of vector numbers: the multiset of its
-    columns' counts per line (see the module docstring); ``inverse`` is an
-    ``_Inverses(p)``."""
-    lines = _counts([w * inverse[u] % p if u else p
-                     for u, w in map(divmod, row, itertools.repeat(p))])
-    return PartitionType._descending(tuple(sorted(lines.values(), reverse=True)))
+def _classifier(p: int):
+    """``parts(runs)``: the parts, descending, of the partition type of a row
+    given as runs, its columns' counts per line (see the module docstring)."""
+    inverse = _Memo(lambda a: pow(a, -1, p))
+    line = _Memo(lambda v: v % p * inverse[v // p] % p if v >= p else p)
+
+    def parts(runs):
+        counts = {}
+        for v, m in runs:  # a run adds its m to its line
+            counts[line[v]] = counts.get(line[v], 0) + m
+        return tuple(sorted(counts.values(), reverse=True))
+
+    return parts
 
 
 def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
     """Partition type of a column multiset of rank k: group columns by the
-    cyclic subgroup they span (its line) and take the multiset of group
-    sizes."""
+    cyclic subgroup (line) they span and take the multiset of group sizes."""
     check_prime(p)
     check_rank(k)
-    return _partition(_numbers(columns, p, k), p, _Inverses(p))
+    return PartitionType._descending(_classifier(p)(_runs(columns, p, k)))
 
 
 class OrbitTable(NamedTuple):
-    """Orbit counts bucketed by partition type, plus canonical representatives.
-    ``count`` is the orbit count of one partition type; it replaces
-    ``tuple.count``."""
+    """Orbit counts bucketed by partition type, plus canonical representatives;
+    ``count`` (replacing ``tuple.count``) is the count of one partition type."""
 
     p: int
     k: int
@@ -296,51 +293,53 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
     its minimum (orderly enumeration).  By ``_imager``'s lemma the minimum
     holds e_k at the maximal multiplicity M and, for k = 2, e_1 at the
     largest multiplicity M2 off the line of e_k.  So for each (M, M2) one
-    walk (``_walk``) lists the other columns: nondecreasing, without e_k
-    and e_1, at most M times on the line of e_k and M2 times off it, the
-    last one forced by the zero sum.  A row is kept when none of its
-    candidate images sorts below it.
-
-    Once a walk passes e_1 (at once for k = 1), its prefix with the fixed
-    columns is a prefix of the row's sorted columns; a map that sorts the
-    prefix below itself sorts every row extending it below that row, so
-    such a prefix is not extended.  A prefix is checked only when more
-    vectors lie above its last column than a row has columns: below that,
-    checking its few rows costs no more.
-    The kept rows are sorted and classified by their columns' counts per
-    line.
+    walk (``_walk``) lists the other columns as runs: without e_k and e_1,
+    at most M times on the line of e_k and M2 times off it, the last one
+    forced by the zero sum.  A row is kept when no candidate image sorts
+    below it.  Past e_1 (at once for k = 1), a map that sorts a prefix
+    (with the fixed columns) below itself sorts every row extending it
+    below that row, so the walk drops the prefix; it checks one only when
+    more vectors lie above its last column than a row has columns.  A kept
+    row is expanded into columns and classified per run by line.
     """
     check_feasible(p, k, R, multiset_limit, step_limit)
-    images, top = _imager(p, k), p**k
-    reps = []
-    for M in range(1, R + 1):
+    kept, least, top = [], _imager(p, k, R), p**k  # kept: (columns, parts) of each orbit
+    columns, classify = _expander(p, k), _classifier(p)
+    checked = top - R > (p + 1 if k == 2 else 2)  # whether any prefix is checked
+    for M in range(R, 0, -1):
         for M2 in range(1, min(M, R - M) + 1) if k == 2 else (0,):
-            head, mid = (1,) * M, (p,) * M2  # e_k is number 1, and e_1 = (1, 0) is p
+            head, mid = ((1, M),), ((p, M2),)[:M2]  # e_k is number 1, e_1 = (1, 0) is p
 
-            def row(free):
-                split = bisect.bisect_left(free, p)
-                return head + free[:split] + mid + free[split:]
+            def row(free):  # the row of ``free``, or None if an image sorts below it
+                split = bisect.bisect_left(free, (p,))
+                runs = head + free[:split] + mid + free[split:]
+                return runs if least(runs, M, True) is None else None
 
             def pruned(free):
-                v = free[-1]
-                return (top - v > R and (k == 1 or v > p)
-                        and _below(row(free), images))
+                v = free[-1][0]
+                return top - v > R and (k == 1 or v > p) and row(free) is None
 
-            for free in _walk(p, k, R - M - M2, (M2, M), (M, M2), 2, p, pruned):
-                full = row(free)
-                if not _below(full, images):
-                    reps.append(full)
-    reps.sort()
-    inverse = _Inverses(p)
-    by_partition = _counts([_partition(full, p, inverse) for full in reps])
-    return OrbitTable(p, k, R, by_partition, len(reps), tuple(_columns(reps, p, k)))
+            walk = _walk(p, k, R - M - M2, (M2, M), (M, M2), 2, p, pruned if checked else None)
+            for runs in filter(None, map(row, walk)):  # for k = 1 all R columns share a line
+                kept.append((columns(runs), classify(runs) if k == 2 else (R,)))
+    if k == 2:  # a larger M sorts first; for k = 1 each M is one walk, in order
+        kept.sort()
+    by_partition = {}
+    for _, parts in kept:
+        by_partition[parts] = by_partition.get(parts, 0) + 1
+    by_partition = {PartitionType._descending(parts): n for parts, n in by_partition.items()}
+    return OrbitTable(p, k, R, by_partition, len(kept), tuple(cols for cols, _ in kept))
 
 
 def canonical_form(columns, p: int, k: int):
     """Canonical representative of one rank-k multiset under the full group."""
     check_prime(p)
     check_rank(k)
-    row = _numbers(columns, p, k)
-    if not _spans(row, p, k):
+    runs = _runs(columns, p, k)
+    if not _spans(runs, p, k):
         raise ValueError(f"columns do not span F_{p}^{k}")
-    return _columns([min([row, *_imager(p, k)(row)])], p, k)[0]
+    M, R = max(m for _, m in runs), sum(m for _, m in runs)
+    image = _imager(p, k, R)(runs, M, False)
+    if image is not None:  # its runs, from plain numbers or keys (see ``_imager``)
+        runs = [(v, 1) if M == 1 else (v // (R + 1) + 1, R + 1 - v % (R + 1)) for v in image]
+    return _expander(p, k)(runs)

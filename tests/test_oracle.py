@@ -322,11 +322,54 @@ def test_count_orbits_reproduces_the_pinned_digests(p, k, R):
     assert hashlib.sha256(repr(key).encode()).hexdigest() == PINNED_DIGESTS[(p, k, R)]
 
 
+# walk regimes the pins above miss: a large p, long runs of one column, and
+# rank 2 at mid-sized p; the same digest as above
+REGIME_DIGESTS = {
+    (10007, 1, 3): "20ec2617016f341d6ea205b51ffadacf9f04bb8bad3f87a946961727ba49f2c8",
+    (3, 1, 40): "e65da349300f9ab5a0c9994d4f5f1041690d54704c4a1b930b95e24f5f4523d7",
+    (2, 2, 24): "a9cb614052db69cb0289c6d27dc233c29590092b1b1e217f18931c34b26886d4",
+    (5, 2, 8): "377d91e9896464bed381c40209ea1550abadbad4fd0dcd1ae2ba0165b3dd172e",
+    (7, 2, 7): "46ec7f35fcd21bc38eed828753a3864e4ee08e88f9fa94029052a189d64521c7",
+    (13, 2, 5): "a2c5ae9c3f07c0e03a9f4e58adeb1471cb44e772d5ec1706a05e685a1ec45cbb",
+    (17, 2, 5): "c38068eebc425d8a65ac574ed3699856ea31a0432395b797f099ac0f421243eb",
+    (101, 2, 4): "efbefafe5bf8f68a889317459f32a7b6482d9f060fa1968170e57b51e3e752b1",
+}
+
+
+@pytest.mark.parametrize("p,k,R", sorted(REGIME_DIGESTS))
+def test_count_orbits_reproduces_the_regime_digests(p, k, R):
+    table = count_orbits(p, k, R)
+    key = (sorted((part.parts, n) for part, n in table.by_partition.items()),
+           table.total, table.representatives)
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == REGIME_DIGESTS[(p, k, R)]
+
+
 GL2 = {p: gl_matrices(p, 2) for p in (3, 5, 7)}
 
 
 def _act(m, cols, p):
     return [tuple((m[r][0] * x + m[r][1] * y) % p for r in range(2)) for x, y in cols]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_run_keys_order_rows_as_their_sorted_numbers(data):
+    # the oracle compares rows by the keys of their runs: for two multisets
+    # of one length, the key lists must order them as the sorted tuples do,
+    # and the runs of a row must expand back to that row
+    p = data.draw(st.sampled_from((3, 5, 13)))
+    R = data.draw(st.integers(1, 12))
+    # a few values shared by both rows, so runs tie on v and differ in m
+    pool = data.draw(st.lists(st.integers(1, p * p - 1), min_size=1, max_size=4, unique=True))
+    numbers = st.lists(st.sampled_from(pool), min_size=R, max_size=R)
+    rows = [sorted(data.draw(numbers)) for _ in range(2)]
+    runs = [oracle._runs([divmod(v, p) for v in row], p, 2) for row in rows]
+    for row, row_runs in zip(rows, runs):
+        assert [v for v, m in row_runs for _ in range(m)] == row
+        assert all(m >= 1 for _, m in row_runs) and len({v for v, _ in row_runs}) == len(row_runs)
+    keys = [oracle._keys(row_runs, R) for row_runs in runs]
+    assert (keys[0] < keys[1]) == (rows[0] < rows[1])
+    assert (keys[0] == keys[1]) == (rows[0] == rows[1])
 
 
 @settings(max_examples=100, deadline=None)
