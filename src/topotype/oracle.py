@@ -175,7 +175,7 @@ def _imager(p: int, k: int, R: int):
         for j in tops:
             ju, jw = uw[j]
             dj = [(u * jw - w * ju) % p for u, w in uw]  # D(v, c_j): 0 on its line
-            if j == tops[0]:  # c_i: the most frequent columns off this line, or a top
+            if j == tops[0]:  # c_i: the tops if one is off this line, else the most frequent off it
                 most = max([m for (_, m), d in zip(runs, dj) if d], default=0)
                 partners = [i for i, ((_, m), d) in enumerate(zip(runs, dj))
                             if m == most and (d or m == M)]
