@@ -305,7 +305,7 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
     check_feasible(p, k, R, multiset_limit, step_limit)
     kept, least, top = [], _imager(p, k, R), p**k  # kept: (columns, parts) of each orbit
     columns, classify = _expander(p, k), _classifier(p)
-    checked = top - R > (p + 1 if k == 2 else 2)  # whether any prefix is checked
+    checked = top - R > (p + 1 if k == 2 else 2)  # whether some prefix can qualify at all
     for M in range(R, 0, -1):
         for M2 in range(1, min(M, R - M) + 1) if k == 2 else (0,):
             head, mid = ((1, M),), ((p, M2),)[:M2]  # e_k is number 1, e_1 = (1, 0) is p
