@@ -132,14 +132,20 @@ class _Memo(dict):
         return value
 
 
-def _imager(p: int, k: int, R: int):
-    """The candidate images of rows of at most R columns over F_p^k.
+def _inverses(p: int) -> _Memo:
+    """Inverses mod p, computed as the rows meet them."""
+    return _Memo(lambda a: pow(a, -1, p))
+
+
+def _imager(p: int, k: int, inverse: _Memo):
+    """The candidate images of rows over F_p^k.
 
     Returns ``least(runs, M, first)``: of a row given as runs (see ``_walk``)
     with largest multiplicity M, the least image under the candidate maps
     for its orbit minimum, bar the identity, if it sorts below the row, else
-    None; with ``first``, the first such image.  Rows and images compare as
-    key lists (``_keys``), or for M = 1 as plain numbers; maps send runs to runs.
+    None; with ``first``, the first such image, as its key list (``_keys`` at
+    scale M).  At M = 1 the keys are the numbers, so images skip the counts,
+    which pays where nearly every column is distinct (rank 2 at mid-sized p).
 
     Of two sorted tuples of equal length, the smaller has the larger
     multiplicity vector, read in vector order, and e_k is the first vector,
@@ -153,18 +159,13 @@ def _imager(p: int, k: int, R: int):
     conditions are necessary, so the least of the row and its images is the
     orbit minimum.
     """
-    inverse, R1, pR1 = _Memo(lambda a: pow(a, -1, p)), R + 1, p * (R + 1)
-
     def least(runs, M, first):
-        plain, found = M == 1, None
+        found, best = None, _keys(runs, M)
         tops = [j for j, (_, m) in enumerate(runs) if m == M]  # the c_j
-        if k == 1 and len(tops) == 1 and runs[tops[0]][0] == 1:  # only the identity
-            return None
-        best = [v for v, _ in runs] if plain else _keys(runs, R)
         if k == 1:  # g = c_j^{-1}
             for d in [inverse[runs[j][0]] for j in tops if runs[j][0] != 1]:
-                image = sorted([d * v % p for v, _ in runs] if plain
-                               else [d * v % p * R1 - m for v, m in runs])
+                image = sorted([d * v % p for v, _ in runs] if M == 1
+                               else [(d * v % p + 1) * M - m for v, m in runs])
                 if image < best:
                     if first:
                         return image
@@ -187,8 +188,8 @@ def _imager(p: int, k: int, R: int):
                     against[i] = [(iu * w - iw * u) % p for u, w in uw]
                 d = inverse[dj[i]]
                 image = sorted([d * a % p * p + d * b % p for a, b in zip(dj, against[i])]
-                               if plain else [d * a % p * pR1 + d * b % p * R1 - m
-                                              for a, b, (_, m) in zip(dj, against[i], runs)])
+                               if M == 1 else [(d * a % p * p + d * b % p + 1) * M - m
+                                               for a, b, (_, m) in zip(dj, against[i], runs)])
                 if image < best:
                     if first:
                         return image
@@ -198,15 +199,20 @@ def _imager(p: int, k: int, R: int):
     return least
 
 
-def _keys(runs, R: int) -> list:
-    """Sort keys ``v*(R+1) - m`` of a row of at most R columns given as runs.
+def _keys(runs, S: int) -> list:
+    """Sort keys ``(v+1)*S - m`` of a row given as runs, for a scale S at
+    least every count m; at S = 1 (every count 1) they are the numbers v.
 
-    Lemma: for two sorted tuples of equal length, the key lists order them
-    exactly as the tuples are ordered.  At the first run where they differ,
-    a smaller v, or the same v with more copies m, puts the smaller entry
-    first, and 1 <= m <= R makes the key smaller in just those cases; equal
-    lengths leave no run over."""
-    return [v * (R + 1) - m for v, m in runs]
+    Lemma: for two sorted tuples of equal length, the key lists order them as
+    the tuples are ordered.  A key is v*S + (S - m) with 0 <= S - m < S, so at
+    the first differing run a smaller v, or the same v with more copies, gives
+    both the smaller entry and the smaller key; equal lengths leave no run over."""
+    return [(v + 1) * S - m for v, m in runs]
+
+
+def _unkeys(keys, S: int) -> list:
+    """The runs whose keys (``_keys``, scale S) are ``keys``."""
+    return [(key // S, S - key % S) for key in keys]
 
 
 def _spans(runs, p: int, k: int) -> bool:
@@ -246,10 +252,9 @@ def _runs(columns, p: int, k: int) -> tuple:
     return tuple((v, len(list(copies))) for v, copies in itertools.groupby(sorted(out)))
 
 
-def _classifier(p: int):
+def _classifier(p: int, inverse: _Memo):
     """``parts(runs)``: the parts, descending, of the partition type of a row
     given as runs, its columns' counts per line (see the module docstring)."""
-    inverse = _Memo(lambda a: pow(a, -1, p))
     line = _Memo(lambda v: v % p * inverse[v // p] % p if v >= p else p)
 
     def parts(runs):
@@ -266,7 +271,7 @@ def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
     cyclic subgroup (line) they span and take the multiset of group sizes."""
     check_prime(p)
     check_rank(k)
-    return PartitionType._descending(_classifier(p)(_runs(columns, p, k)))
+    return PartitionType._descending(_classifier(p, _inverses(p))(_runs(columns, p, k)))
 
 
 class OrbitTable(NamedTuple):
@@ -303,9 +308,8 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
     row is expanded into columns and classified per run by line.
     """
     check_feasible(p, k, R, multiset_limit, step_limit)
-    kept, least, top = [], _imager(p, k, R), p**k  # kept: (columns, parts) of each orbit
-    columns, classify = _expander(p, k), _classifier(p)
-    checked = top - R > (p + 1 if k == 2 else 2)  # whether some prefix can qualify at all
+    kept, top, inverse = [], p**k, _inverses(p)  # kept: (columns, parts) of each orbit
+    least, columns, classify = _imager(p, k, inverse), _expander(p, k), _classifier(p, inverse)
     for M in range(R, 0, -1):
         for M2 in range(1, min(M, R - M) + 1) if k == 2 else (0,):
             head, mid = ((1, M),), ((p, M2),)[:M2]  # e_k is number 1, e_1 = (1, 0) is p
@@ -319,11 +323,10 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
                 v = free[-1][0]
                 return top - v > R and (k == 1 or v > p) and row(free) is None
 
-            walk = _walk(p, k, R - M - M2, (M2, M), (M, M2), 2, p, pruned if checked else None)
+            walk = _walk(p, k, R - M - M2, (M2, M), (M, M2), 2, p, pruned)
             for runs in filter(None, map(row, walk)):  # for k = 1 all R columns share a line
                 kept.append((columns(runs), classify(runs) if k == 2 else (R,)))
-    if k == 2:  # a larger M sorts first; for k = 1 each M is one walk, in order
-        kept.sort()
+    kept.sort()  # by columns: a larger M sorts first, and the walks of one M interleave
     by_partition = {}
     for _, parts in kept:
         by_partition[parts] = by_partition.get(parts, 0) + 1
@@ -338,8 +341,6 @@ def canonical_form(columns, p: int, k: int):
     runs = _runs(columns, p, k)
     if not _spans(runs, p, k):
         raise ValueError(f"columns do not span F_{p}^{k}")
-    M, R = max(m for _, m in runs), sum(m for _, m in runs)
-    image = _imager(p, k, R)(runs, M, False)
-    if image is not None:  # its runs, from plain numbers or keys (see ``_imager``)
-        runs = [(v, 1) if M == 1 else (v // (R + 1) + 1, R + 1 - v % (R + 1)) for v in image]
-    return _expander(p, k)(runs)
+    M = max(m for _, m in runs)
+    image = _imager(p, k, _inverses(p))(runs, M, False)
+    return _expander(p, k)(runs if image is None else _unkeys(image, M))
