@@ -144,8 +144,8 @@ def _imager(p: int, k: int, inverse: _Memo):
     with largest multiplicity M, the least image under the candidate maps
     for its orbit minimum, bar the identity, if it sorts below the row, else
     None; with ``first``, the first such image, as its key list (``_keys`` at
-    scale M).  At M = 1 the keys are the numbers, so images skip the counts,
-    which pays where nearly every column is distinct (rank 2 at mid-sized p).
+    scale M).  At M = 1 the keys are the numbers, so rank 2's images skip the
+    counts, which pays where nearly every column is distinct (mid-sized p).
 
     Of two sorted tuples of equal length, the smaller has the larger
     multiplicity vector, read in vector order, and e_k is the first vector,
@@ -164,8 +164,7 @@ def _imager(p: int, k: int, inverse: _Memo):
         tops = [j for j, (_, m) in enumerate(runs) if m == M]  # the c_j
         if k == 1:  # g = c_j^{-1}
             for d in [inverse[runs[j][0]] for j in tops if runs[j][0] != 1]:
-                image = sorted([d * v % p for v, _ in runs] if M == 1
-                               else [(d * v % p + 1) * M - m for v, m in runs])
+                image = sorted([(d * v % p + 1) * M - m for v, m in runs])
                 if image < best:
                     if first:
                         return image
