@@ -175,13 +175,14 @@ def cmd_verify(args) -> int:
     if not args.p or not args.R:
         raise ValueError("verify needs at least one prime and one R (empty range?)")
     results = []
+    tables = iter(oracle.count_orbits_many(args.p, k, args.R, args.guard_multisets,
+                                           args.guard_steps))
     for p in args.p:
         for R in args.R:
-            try:
-                table = oracle.count_orbits(p, k, R, args.guard_multisets, args.guard_steps)
-            except oracle.GuardExceeded as exc:
+            table = next(tables)
+            if isinstance(table, oracle.GuardExceeded):
                 results.append({"p": str(p), "R": str(R), "status": "SKIPPED",
-                                "reason": str(exc)})
+                                "reason": str(table)})
                 continue
             formula = {r.partition: r.T for r in total_types(p, k, R).reports}
             keys = sorted(set(formula) | set(table.by_partition), key=lambda q: (q.n, q.parts))

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import marshal
 import math
+import os
 from typing import NamedTuple
 
 from .exact import multichoose
@@ -43,8 +45,9 @@ def group_order(p: int, k: int) -> int:
     return math.prod(p**k - p**i for i in range(k))
 
 
-def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -> None:
-    """Raise GuardExceeded when the work of ``count_orbits`` is out of budget.
+def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -> int:
+    """Raise GuardExceeded when the work of ``count_orbits`` is out of budget,
+    else return the step estimate, which ``count_orbits_many`` deals by.
 
     The estimate follows the algorithm: ``count_orbits`` walks at most
     ``multichoose(R-1-k, p^k-1)`` rows, since removing one e_k and, for
@@ -62,6 +65,7 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
     if steps > step_limit:
         raise GuardExceeded(f"(p={p}, k={k}, R={R}): about {steps} canonicalization "
                             f"steps exceeds the limit of {step_limit}")
+    return steps
 
 
 def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: int = 0,
@@ -331,6 +335,153 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
         by_partition[parts] = by_partition.get(parts, 0) + 1
     by_partition = {PartitionType._descending(parts): n for parts, n in by_partition.items()}
     return OrbitTable(p, k, R, by_partition, len(kept), tuple(cols for cols, _ in kept))
+
+
+# A forked child costs about 3 ms (fork, exit and copy-on-write, measured in
+# a process that has run count_orbits), so a child is forked only for a
+# share estimated at this many steps or more.  Measured shares leave a wide
+# window: the would-be child of ``verify --k 2 --p 5,7 --R 3..5`` holds
+# about 3.4e4 steps (its largest case, (7, 2, 5), is 1.2e5 steps and about
+# 8 ms), while the children of ``verify --k 2 --p 3 --R 3..16`` and
+# ``verify --k 1 --p 11,13 --R 3..10`` hold 2e6 steps or more.
+FORK_MIN_STEPS = 3 * 10**5
+
+
+def count_orbits_many(p_values, k: int, R_values, multiset_limit=None, step_limit=None) -> list:
+    """``count_orbits(p, k, R, ...)`` for every p of ``p_values`` and R of
+    ``R_values``, in ``for p: for R:`` order: its table, or the
+    ``GuardExceeded`` it would raise, as a value.
+
+    ``check_feasible`` judges every case before any work, so a bad input
+    raises here as ``count_orbits`` would, having run nothing.  The cases
+    it admits run on up to one worker per usable core, this process being
+    the first.  Dealt by step estimate, largest first, each to the
+    least-loaded worker, they give every other worker a share; each share
+    of ``FORK_MIN_STEPS`` or more gets a forked child.  With children the
+    workers pull the cases, largest first, from one queue, so a worker that
+    is done early takes the next one, and each child sends its tables back
+    through a pipe; cases past what the queue holds (over 16,000 on Linux)
+    run here after it.  Without ``os.fork`` or ``os.sched_getaffinity`` this
+    process runs every case.  Every child is reaped before this returns or
+    raises; if a child fails, this raises ``RuntimeError`` naming the cases
+    it left undone.
+    """
+    out, cases = [], []  # cases: (estimate, index in out, p, R) of each admitted case
+    for p in p_values:
+        for R in R_values:
+            try:
+                cases.append((check_feasible(p, k, R, multiset_limit, step_limit),
+                              len(out), p, R))
+                out.append(None)
+            except GuardExceeded as exc:
+                out.append(exc)
+    cases.sort(key=lambda case: -case[0])
+    usable = (len(os.sched_getaffinity(0))
+              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    loads = [0] * max(1, min(usable, len(cases)))
+    for case in cases:
+        loads[loads.index(min(loads))] += case[0]
+    forks = sum(load >= FORK_MIN_STEPS for load in loads[1:])
+    limits = (multiset_limit, step_limit)
+    children, failures = [], []  # children: (pid, read end) of each child not yet reaped
+    queue, queued = _queue(len(cases)) if forks else (None, 0)
+    try:
+        for _ in range(forks):
+            children.append(_fork(cases, k, limits, queue))
+        for j in itertools.chain(_pulled(queue), range(queued, len(cases))):
+            _, i, p, R = cases[j]
+            out[i] = count_orbits(p, k, R, *limits)
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            try:
+                tables = marshal.loads(data)
+            except (EOFError, ValueError, TypeError):
+                tables = None
+            if status or not isinstance(tables, list):
+                failures.append(tables if isinstance(tables, str) else f"wait status {status}")
+                continue
+            for j, pairs, total, representatives in tables:
+                _, i, p, R = cases[j]
+                by_partition = {PartitionType._descending(parts): n for parts, n in pairs}
+                out[i] = OrbitTable(p, k, R, by_partition, total, representatives)
+        if failures:
+            undone = ", ".join(f"(p={p}, k={k}, R={R})" for _, i, p, R in cases if out[i] is None)
+            raise RuntimeError(f"oracle worker for {undone} failed: {'; '.join(failures)}")
+    finally:
+        if queue is not None:
+            os.close(queue)
+        if children:  # only a run that raised leaves any; signal takes about 1 ms to import
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return out
+
+
+def _queue(n: int) -> tuple:
+    """A pipe's read end holding the case positions 0, 1, ... below n, 4
+    bytes each, as many as the pipe takes without blocking, with its write
+    end closed; and how many it holds."""
+    queue, feed = os.pipe()
+    os.set_blocking(feed, False)
+    queued = 0
+    try:
+        while queued < n:  # 512 bytes, which POSIX writes whole or not at all
+            chunk = range(queued, min(queued + 128, n))
+            os.write(feed, b"".join(j.to_bytes(4, "big") for j in chunk))
+            queued = chunk.stop
+    except BlockingIOError:
+        pass
+    finally:
+        os.close(feed)
+    return queue, queued
+
+
+def _pulled(queue):
+    """The case positions this worker reads from ``queue`` (if any) until
+    it is empty."""
+    while queue is not None and (record := os.read(queue, 4)):
+        yield int.from_bytes(record, "big")
+
+
+def _fork(cases, k: int, limits: tuple, queue: int):
+    """Fork a child that runs the cases it pulls from ``queue`` through
+    ``count_orbits`` and writes their tables to a pipe as ``marshal`` data,
+    plain tuples; return the child's pid and the pipe's read end.  The child
+    stops before its next case once its parent has gone; if it raises, it
+    writes the error's text instead and exits 1."""
+    parent = os.getpid()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    status, data, case, tables = 1, b"", None, []
+    try:
+        os.close(read)
+        for j in _pulled(queue):
+            if os.getppid() != parent:  # orphaned: nobody reads the tables
+                os._exit(status)
+            _, _, p, R = cases[j]
+            case = (p, k, R)
+            table = count_orbits(p, k, R, *limits)
+            tables.append((j, tuple((q.parts, n) for q, n in table.by_partition.items()),
+                           table.total, table.representatives))
+        data, status = marshal.dumps(tables), 0
+    except BaseException as exc:
+        data = marshal.dumps(f"(p, k, R) = {case}: {type(exc).__name__}: {exc}")
+    finally:
+        try:
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(status)
 
 
 def canonical_form(columns, p: int, k: int):

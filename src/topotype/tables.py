@@ -109,6 +109,12 @@ def fit_partition_polynomial(partition, degree_bound=None, modulus=None, primes=
     generated automatically; an explicit list that leaves a unit class
     short raises an error naming the class.
     """
+    return _fit(partition, degree_bound, modulus, primes, {})
+
+
+def _fit(partition, degree_bound, modulus, primes, values: dict) -> StratifiedPolynomial:
+    """``fit_partition_polynomial``, recording each T(q) it computes as
+    ``values[q]``."""
     part = partition if isinstance(partition, PartitionType) else PartitionType(tuple(partition))
     db = default_degree_bound(part) if degree_bound is None else int(degree_bound)
     mod = default_modulus(part) if modulus is None else int(modulus)
@@ -138,7 +144,7 @@ def fit_partition_polynomial(partition, degree_bound=None, modulus=None, primes=
                 )
     branches = {}
     for c in classes:
-        points = [(q, count_types_rank2(part, q).T) for q in by_class[c]]
+        points = [(q, _count(part, q, values)) for q in by_class[c]]
         fit_pts, holdout = points[: db + 1], points[db + 1 :]
         poly = interpolate(fit_pts)
         for q, value in holdout:
@@ -150,6 +156,13 @@ def fit_partition_polynomial(partition, degree_bound=None, modulus=None, primes=
                 )
         branches[c] = poly
     return StratifiedPolynomial(part, mod, branches)
+
+
+def _count(part: PartitionType, q: int, values: dict) -> int:
+    """T(q) for ``part``, computed once per ``values``."""
+    if q not in values:
+        values[q] = count_types_rank2(part, q).T
+    return values[q]
 
 
 def table_rows(R: int) -> list:
@@ -179,9 +192,10 @@ def build_table(R: int, primes=None) -> list:
             raise PolynomialFitError(f"supplied value {q} is not an odd prime")
     rows = []
     for part in table_rows(R):
-        fit = fit_partition_polynomial(part)
+        values = {}  # T(q) by q, from the fit's pool first
+        fit = _fit(part, None, None, None, values)
         shown = [q for q in supplied if q >= part.n - 1]
-        samples = tuple((q, count_types_rank2(part, q).T)
+        samples = tuple((q, _count(part, q, values))
                         for q in shown or _primes_in_class(0, 1, 4, part.n - 1))
         for q, t in samples:
             if q >= fit.min_prime and fit(q) != t:

@@ -208,6 +208,19 @@ def test_verify_skips_on_guard(capsys):
     assert code == 1  # one case skipped, the other checked: the failures decide
 
 
+def test_verify_rejects_a_bad_prime_before_any_work(capsys, monkeypatch):
+    # every case is checked before any is run or forked: p = 5 runs nothing
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, err = run(capsys, "verify", "--k", "2", "--p", "5,4", "--R", "3")
+    assert (code, out) == (2, "")
+    assert "p = 4 is not prime" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_verify_reaches_p11(capsys):
     _, out, _ = run(capsys, "verify", "--p", "11", "--k", "2", "--R", "3..5")
     assert "SKIPPED" not in out

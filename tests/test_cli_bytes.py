@@ -7,8 +7,10 @@ table row was fitted from the automatic prime pool (``table --R 9 --primes
 5,7,11,13`` is too short a list to fit several rows); any change to what
 they print shows here.  The four ``verify`` lines whose every case is
 ``SKIPPED`` were re-pinned when such a run began to exit 2; their stdout
-is unchanged.  ``verify --format csv`` is checked against the JSON
-results instead.
+is unchanged.  The two ``verify --k 2 --p 3 --R 3..16`` and ``verify --k 1
+--p 11,13 --R 3..10`` lines, whose cases run on two cores where there are
+two, were pinned from the serial loop before that change.  ``verify
+--format csv`` is checked against the JSON results instead.
 """
 
 import contextlib
@@ -107,6 +109,10 @@ PINNED = [
     ("verify --p 3,5 --k 1 --R 3..6 --format json", "460dc358864ef24173dbdc933fbcf73dd6ed38c33684a6ddc6bd7be871ae4fc2"),
     ("verify --p 2 --k 1 --R 3..6 --format plain", "c9f7ac66f73b633c5e3e1f2942f1aba82e8366f55c2a4187205916ffb05ef023"),
     ("verify --p 2 --k 1 --R 3..6 --format json", "da1899fd3ea08c586a0dccf95c0f6814a7f8a2d0c6379bf534d1591290e0f289"),
+    ("verify --k 2 --p 3 --R 3..16 --format plain", "82fe5c718001382df33d0b537f3a4439245131581835963a629f6f27c77521f2"),
+    ("verify --k 2 --p 3 --R 3..16 --format json", "238a0aa6b78732ac501accc0455c708e01a75ff2647db6558a2c4f1b774d9f6d"),
+    ("verify --k 1 --p 11,13 --R 3..10 --format plain", "6a7d406249b521fa5c702ff36fd1c4143cd4ffc823559eeb8b6ea31055f59602"),
+    ("verify --k 1 --p 11,13 --R 3..10 --format json", "733ed56151c6cf40d431241a472480c245c0280df8ebf28c30362c69bd9d8a22"),
     ("verify --p 13 --k 2 --R 8 --format plain", "083e5f0f8d85c09c14c709155c76f547a82b1cca6bd69b87c65d43b825dfca2b"),
     ("verify --p 13 --k 2 --R 8 --format json", "4c385cefcc8cf5a3f4b97dad274735a62b9d7e7571e5d27c10200f3463fbaaf4"),
     ("verify --p 5 --k 2 --R 4 --guard-steps 10 --format plain", "19ddad0ed2998caed4c42cadb6b5559c9b4dd21ac9daaeec0464ba4ea0499484"),

@@ -1,6 +1,13 @@
 import hashlib
 import itertools
+import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
 from collections import Counter
 
@@ -19,12 +26,14 @@ from topotype.crosscheck import (
     gl_matrices,
     nonzero_vectors,
 )
+from topotype.exact import multichoose
 from topotype.oracle import (
     GuardExceeded,
     canonical_form,
     check_feasible,
     classify_partition,
     count_orbits,
+    count_orbits_many,
     enumerate_generating_sets,
     group_order,
 )
@@ -606,3 +615,239 @@ def test_count_orbits_memory_does_not_grow_with_p():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert table.total == 169 == count_types_rank1(3, 1009).T
+
+
+def test_check_feasible_returns_the_readme_step_estimate():
+    # multisets x R x min(R!/(R-k)!, |GL_k|), the number the step guard compares
+    for p, k, R in ((3, 2, 16), (13, 1, 10), (7, 2, 5)):
+        gl = math.prod(p**k - p**i for i in range(k))
+        estimate = multichoose(R - 1 - k, p**k - 1) * R * min(math.perm(R, k), gl)
+        assert check_feasible(p, k, R) == estimate
+    assert [check_feasible(*case) for case in ((3, 2, 16), (13, 1, 10), (7, 2, 5))] == [
+        59535360, 7558200, 117600]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns in this process, with two usable cores."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+def _same_field_for_field(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, GuardExceeded):
+        assert str(got) == str(want)
+        return
+    assert got == want
+    assert list(got.by_partition.items()) == list(want.by_partition.items())
+    assert all(type(q) is PartitionType for q in got.by_partition)
+
+
+def _one_by_one(p_values, k, R_values, **limits):
+    out = []
+    for p in p_values:
+        for R in R_values:
+            try:
+                out.append(count_orbits(p, k, R, **limits))
+            except GuardExceeded as exc:
+                out.append(exc)
+    return out
+
+
+# the step limits refuse one case in the middle: (7, 1, 8) and (5, 2, 7)
+MANY_CASES = [((3, 7, 5), 1, range(3, 9), 20000), ((2, 5, 3), 2, range(3, 8), 10**6)]
+
+
+@pytest.mark.parametrize("fork_min_steps", [None, 0], ids=["real-constant", "forced-fork"])
+@pytest.mark.parametrize("p_values, k, R_values, step_limit", MANY_CASES)
+def test_count_orbits_many_returns_what_count_orbits_returns(
+        monkeypatch, forks, fork_min_steps, p_values, k, R_values, step_limit):
+    if fork_min_steps is not None:
+        monkeypatch.setattr(oracle, "FORK_MIN_STEPS", fork_min_steps)
+    want = _one_by_one(p_values, k, R_values, step_limit=step_limit)
+    assert sum(isinstance(table, GuardExceeded) for table in want) == 1
+    assert not isinstance(want[-1], GuardExceeded)
+    got = count_orbits_many(p_values, k, R_values, step_limit=step_limit)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same_field_for_field(g, w)
+    assert len(forks) == (1 if fork_min_steps == 0 else 0)
+    assert _no_child_left()
+
+
+def test_count_orbits_many_deals_to_every_usable_core(monkeypatch, forks):
+    monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    got = count_orbits_many((3, 5), 2, range(3, 6))
+    assert len(forks) == 3
+    for g, w in zip(got, _one_by_one((3, 5), 2, range(3, 6))):
+        _same_field_for_field(g, w)
+    assert count_orbits_many((5,), 2, (4,)) == [count_orbits(5, 2, 4)]  # one case, one worker
+    assert len(forks) == 3
+    assert _no_child_left()
+
+
+def _read_all(fd):
+    with open(fd, "rb") as pipe:
+        data = pipe.read()
+    return [int.from_bytes(data[j:j + 4], "big") for j in range(0, len(data), 4)]
+
+
+def test_the_queue_holds_what_its_pipe_takes():
+    queue, queued = oracle._queue(5)
+    assert queued == 5 and _read_all(queue) == [0, 1, 2, 3, 4]
+    queue, queued = oracle._queue(10**6)  # 4 MB of positions: more than a pipe holds
+    assert 0 < queued < 10**6
+    assert _read_all(queue) == list(range(queued))
+
+
+def test_cases_past_the_queue_run_in_the_parent(monkeypatch, forks):
+    real = oracle._queue
+    monkeypatch.setattr(oracle, "_queue", lambda n: real(min(n, 2)))
+    monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
+    assert count_orbits_many((3,), 2, range(3, 9)) == [count_orbits(3, 2, R) for R in range(3, 9)]
+    assert len(forks) == 1
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("p_values, k, R_values, children", [
+    ((3,), 2, range(3, 5), 0),  # the benchmark harness's own toy verify
+    ((5, 7), 2, range(3, 6), 0),  # the would-be child holds about 3.4e4 steps
+    ((3,), 2, range(3, 17), 1),
+    ((11, 13), 1, range(3, 11), 1),
+])
+def test_only_large_shares_fork_at_the_real_constant(forks, p_values, k, R_values, children):
+    count_orbits_many(p_values, k, R_values)
+    assert len(forks) == children
+    assert _no_child_left()
+
+
+def test_one_usable_core_forks_nothing(monkeypatch, forks):
+    monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert count_orbits_many((3,), 2, range(3, 8)) == [count_orbits(3, 2, R) for R in range(3, 8)]
+    assert forks == []
+
+
+def test_no_fork_means_one_worker(monkeypatch):
+    monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
+    monkeypatch.delattr(os, "fork")
+    assert count_orbits_many((3,), 2, range(3, 8)) == [count_orbits(3, 2, R) for R in range(3, 8)]
+
+
+def _failing_in(monkeypatch, side, fail):
+    """Make ``count_orbits`` call ``fail()`` in a child (``side`` "child")
+    or in this process ("parent"), and take 0.1 s a case on the other side,
+    so that both sides pull a case."""
+    real, test = oracle.count_orbits, os.getpid()
+
+    def count(p, k, R, *limits):
+        if (os.getpid() == test) == (side == "parent"):
+            fail()
+        time.sleep(0.1)
+        return real(p, k, R, *limits)
+
+    monkeypatch.setattr(oracle, "count_orbits", count)
+    monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
+
+
+def _planted():
+    raise ArithmeticError("planted")
+
+
+def test_a_child_that_raises_is_named(monkeypatch, forks):
+    # the child fails at the first case it pulls, and only that case is undone
+    _failing_in(monkeypatch, "child", _planted)
+    with pytest.raises(RuntimeError, match=r"oracle worker for \(p=3, k=1, R=(\d)\) failed: "
+                                           r"\(p, k, R\) = \(3, 1, \1\): ArithmeticError: planted$"):
+        count_orbits_many((3,), 1, range(3, 9))
+    assert len(forks) == 1
+    assert _no_child_left()
+
+
+def test_a_child_that_dies_is_named(monkeypatch, forks):
+    _failing_in(monkeypatch, "child", lambda: os._exit(3))
+    with pytest.raises(RuntimeError,
+                       match=r"oracle worker for \(p=3, k=1, R=\d\) failed: wait status 768$"):
+        count_orbits_many((3,), 1, range(3, 9))
+    assert len(forks) == 1
+    assert _no_child_left()
+
+
+def test_a_failing_parent_still_reaps_its_child(monkeypatch, forks):
+    _failing_in(monkeypatch, "parent", _planted)
+    with pytest.raises(ArithmeticError, match="planted"):
+        count_orbits_many((3,), 1, range(3, 9))
+    assert len(forks) == 1
+    assert _no_child_left()
+
+
+def test_bad_input_raises_before_any_work(monkeypatch, forks):
+    monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(oracle, "count_orbits", None)  # never reached
+    with pytest.raises(ValueError, match="p = 4 is not prime"):
+        count_orbits_many((5, 4), 2, (3, 4))
+    with pytest.raises(ValueError, match="need R >= 3"):
+        count_orbits_many((5,), 2, (4, 2))
+    assert forks == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
+                    reason="needs os.fork and /proc")
+def test_a_child_leaves_once_its_parent_is_killed(tmp_path):
+    # the parent forks one child for about 100 cases of 0.2 s each and
+    # reports its pid; killing the parent must end the child at its next case
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    script = textwrap.dedent("""
+        import os, sys, time
+        import topotype.oracle as oracle
+        real, fork = oracle.count_orbits, os.fork
+        def slow(p, k, R, *limits):
+            time.sleep(0.2)
+            return real(p, k, R, *limits)
+        def reported():
+            pid = fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
+        oracle.count_orbits, os.fork, oracle.FORK_MIN_STEPS = slow, reported, 0
+        os.sched_getaffinity = lambda pid: {0, 1}
+        oracle.count_orbits_many([3], 1, range(3, 203))
+    """)
+    parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+    try:
+        child = int(parent.stdout.readline())
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+
+    def running(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rpartition(")")[2].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 5
+    while running(child) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if running(child):
+        os.kill(child, signal.SIGKILL)
+        pytest.fail(f"child {child} outlived its killed parent")

@@ -339,6 +339,22 @@ def test_render_table_bytes_are_pinned(R):
         assert hashlib.sha256(table_stdout(R, fmt).encode()).hexdigest() == digest, fmt
 
 
+def test_table_counts_each_sample_once(monkeypatch):
+    # a displayed sample the row's fit has already computed is reused: 296
+    # distinct (partition, p) on table --R 9, each computed once
+    import topotype.tables as tables
+
+    calls = []
+
+    def counted(part, p):
+        calls.append((part, p))
+        return count_types_rank2(part, p)
+
+    monkeypatch.setattr(tables, "count_types_rank2", counted)
+    assert hashlib.sha256(table_stdout(9).encode()).hexdigest() == TABLE_DIGESTS[9]["plain"]
+    assert len(calls) == len(set(calls)) == 296
+
+
 def test_fits_reach_R14_and_hold_above_ten_thousand():
     # fresh fits (each with its held-out checks) for every row of R = 11..14
     far = (10007, 10009, 10037)
