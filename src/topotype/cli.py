@@ -175,20 +175,20 @@ def cmd_verify(args) -> int:
     if not args.p or not args.R:
         raise ValueError("verify needs at least one prime and one R (empty range?)")
     results = []
-    tables = iter(oracle.count_orbits_many(args.p, k, args.R, args.guard_multisets,
-                                           args.guard_steps))
+    cases = iter(oracle.count_orbits_many(args.p, k, args.R, args.guard_multisets,
+                                          args.guard_steps))
     for p in args.p:
         for R in args.R:
-            table = next(tables)
-            if isinstance(table, oracle.GuardExceeded):
+            counts = next(cases)
+            if isinstance(counts, oracle.GuardExceeded):
                 results.append({"p": str(p), "R": str(R), "status": "SKIPPED",
-                                "reason": str(table)})
+                                "reason": str(counts)})
                 continue
             formula = {r.partition: r.T for r in total_types(p, k, R).reports}
-            keys = sorted(set(formula) | set(table.by_partition), key=lambda q: (q.n, q.parts))
-            rows = [(str(q), table.by_partition.get(q, 0), formula.get(q, 0)) for q in keys]
+            keys = sorted(set(formula) | set(counts), key=lambda q: (q.n, q.parts))
+            rows = [(str(q), counts.get(q, 0), formula.get(q, 0)) for q in keys]
             if k == 2:
-                rows.append(("total", table.total, sum(formula.values())))
+                rows.append(("total", sum(counts.values()), sum(formula.values())))
             for label, got, want in rows:
                 results.append({"p": str(p), "R": str(R), "partition": label,
                                 "oracle": str(got), "formula": str(want),

@@ -20,6 +20,7 @@ import itertools
 import marshal
 import math
 import os
+from collections import Counter
 from typing import NamedTuple
 
 from .exact import multichoose
@@ -46,16 +47,16 @@ def group_order(p: int, k: int) -> int:
 
 
 def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -> int:
-    """Raise GuardExceeded when the work of ``count_orbits`` is out of budget,
-    else return the step estimate, which ``count_orbits_many`` deals by.
+    """Raise GuardExceeded when the work of the orbit walk (``_minima``) is
+    out of budget, else return the step estimate, which ``count_orbits_many`` deals by.
 
-    The estimate follows the algorithm: ``count_orbits`` walks at most
+    The estimate follows the algorithm: the walk lists at most
     ``multichoose(R-1-k, p^k-1)`` rows, since removing one e_k and, for
     k = 2, one e_1 from a row walked for (M, M2), and its forced last
     column, leaves a distinct nondecreasing prefix of R-1-k columns.  Each
     row is compared with at most ``min(R!/(R-k)!, |GL_k|)`` images, one per
     candidate basis, of at most R steps each (one per run): an upper bound.
-    Memory is one R-column representative per orbit.
+    Memory is not guarded: ``count_orbits`` keeps each orbit, ``_tally`` none.
     """
     ActionParams(p, k, R)
     m = multichoose(R - 1 - k, p**k - 1)
@@ -293,8 +294,8 @@ class OrbitTable(NamedTuple):
         return self.by_partition.get(part, 0)
 
 
-def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -> OrbitTable:
-    """Orbits of GL_k(F_p) acting columnwise on generating column multisets.
+def _minima(p: int, k: int, R: int):
+    """Runs and parts (``_classifier``) of each orbit minimum of an admitted case.
 
     Canonical representative of an orbit: the minimum, over all group
     elements, of the sorted image multiset.  Each orbit is listed once, by
@@ -308,11 +309,10 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
     (with the fixed columns) below itself sorts every row extending it
     below that row, so the walk drops the prefix; it checks one only when
     more vectors lie above its last column than a row has columns.  A kept
-    row is expanded into columns and classified per run by line.
+    row is classified per run by line; nothing is held but the walk's stack.
     """
-    check_feasible(p, k, R, multiset_limit, step_limit)
-    kept, top, inverse = [], p**k, _inverses(p)  # kept: (columns, parts) of each orbit
-    least, columns, classify = _imager(p, k, inverse), _expander(p, k), _classifier(p, inverse)
+    top, inverse = p**k, _inverses(p)
+    least, classify = _imager(p, k, inverse), _classifier(p, inverse)
     for M in range(R, 0, -1):
         for M2 in range(1, min(M, R - M) + 1) if k == 2 else (0,):
             head, mid = ((1, M),), ((p, M2),)[:M2]  # e_k is number 1, e_1 = (1, 0) is p
@@ -328,13 +328,22 @@ def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -
 
             walk = _walk(p, k, R - M - M2, (M2, M), (M, M2), 2, p, pruned)
             for runs in filter(None, map(row, walk)):  # for k = 1 all R columns share a line
-                kept.append((columns(runs), classify(runs) if k == 2 else (R,)))
-    kept.sort()  # by columns: a larger M sorts first, and the walks of one M interleave
-    by_partition = {}
-    for _, parts in kept:
-        by_partition[parts] = by_partition.get(parts, 0) + 1
-    by_partition = {PartitionType._descending(parts): n for parts, n in by_partition.items()}
+                yield runs, classify(runs) if k == 2 else (R,)
+
+
+def count_orbits(p: int, k: int, R: int, multiset_limit=None, step_limit=None) -> OrbitTable:
+    """Orbits of GL_k(F_p) acting columnwise on generating column multisets:
+    each minimum of ``_minima`` expanded into columns, in sorted order."""
+    check_feasible(p, k, R, multiset_limit, step_limit)
+    columns = _expander(p, k)
+    kept = sorted([(columns(runs), parts) for runs, parts in _minima(p, k, R)])
+    by_partition = {PartitionType._descending(q): n for q, n in Counter(q for _, q in kept).items()}
     return OrbitTable(p, k, R, by_partition, len(kept), tuple(cols for cols, _ in kept))
+
+
+def _tally(p: int, k: int, R: int) -> dict:
+    """``{parts: n}``: an admitted case's orbits counted by type in one walk."""
+    return dict(Counter(parts for _, parts in _minima(p, k, R)))
 
 
 # A forked child costs about 3 ms (fork, exit and copy-on-write, measured in
@@ -348,9 +357,9 @@ FORK_MIN_STEPS = 3 * 10**5
 
 
 def count_orbits_many(p_values, k: int, R_values, multiset_limit=None, step_limit=None) -> list:
-    """``count_orbits(p, k, R, ...)`` for every p of ``p_values`` and R of
-    ``R_values``, in ``for p: for R:`` order: its table, or the
-    ``GuardExceeded`` it would raise, as a value.
+    """For every p of ``p_values`` and R of ``R_values``, in ``for p: for R:``
+    order, ``count_orbits(p, k, R, ...).by_partition`` or the ``GuardExceeded``
+    it would raise, as a value, counted in one walk (``_tally``) keeping no orbit.
 
     ``check_feasible`` judges every case before any work, so a bad input
     raises here as ``count_orbits`` would, having run nothing.  The cases
@@ -359,7 +368,7 @@ def count_orbits_many(p_values, k: int, R_values, multiset_limit=None, step_limi
     least-loaded worker, they give every other worker a share; each share
     of ``FORK_MIN_STEPS`` or more gets a forked child.  With children the
     workers pull the cases, largest first, from one queue, so a worker that
-    is done early takes the next one, and each child sends its tables back
+    is done early takes the next one, and each child sends its counts back
     through a pipe; cases past what the queue holds (over 16,000 on Linux)
     run here after it.  Without ``os.fork`` or ``os.sched_getaffinity`` this
     process runs every case.  Every child is reaped before this returns or
@@ -382,15 +391,14 @@ def count_orbits_many(p_values, k: int, R_values, multiset_limit=None, step_limi
     for case in cases:
         loads[loads.index(min(loads))] += case[0]
     forks = sum(load >= FORK_MIN_STEPS for load in loads[1:])
-    limits = (multiset_limit, step_limit)
     children, failures = [], []  # children: (pid, read end) of each child not yet reaped
     queue, queued = _queue(len(cases)) if forks else (None, 0)
     try:
         for _ in range(forks):
-            children.append(_fork(cases, k, limits, queue))
+            children.append(_fork(cases, k, queue))
         for j in itertools.chain(_pulled(queue), range(queued, len(cases))):
             _, i, p, R = cases[j]
-            out[i] = count_orbits(p, k, R, *limits)
+            out[i] = _tally(p, k, R)
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -398,16 +406,14 @@ def count_orbits_many(p_values, k: int, R_values, multiset_limit=None, step_limi
             status = os.waitpid(pid, 0)[1]
             del children[0]
             try:
-                tables = marshal.loads(data)
+                tallies = marshal.loads(data)
             except (EOFError, ValueError, TypeError):
-                tables = None
-            if status or not isinstance(tables, list):
-                failures.append(tables if isinstance(tables, str) else f"wait status {status}")
+                tallies = None
+            if status or not isinstance(tallies, list):
+                failures.append(tallies if isinstance(tallies, str) else f"wait status {status}")
                 continue
-            for j, pairs, total, representatives in tables:
-                _, i, p, R = cases[j]
-                by_partition = {PartitionType._descending(parts): n for parts, n in pairs}
-                out[i] = OrbitTable(p, k, R, by_partition, total, representatives)
+            for j, counts in tallies:
+                out[cases[j][1]] = counts
         if failures:
             undone = ", ".join(f"(p={p}, k={k}, R={R})" for _, i, p, R in cases if out[i] is None)
             raise RuntimeError(f"oracle worker for {undone} failed: {'; '.join(failures)}")
@@ -421,7 +427,8 @@ def count_orbits_many(p_values, k: int, R_values, multiset_limit=None, step_limi
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return out
+    return [{PartitionType._descending(parts): n for parts, n in counts.items()}
+            if isinstance(counts, dict) else counts for counts in out]
 
 
 def _queue(n: int) -> tuple:
@@ -450,30 +457,27 @@ def _pulled(queue):
         yield int.from_bytes(record, "big")
 
 
-def _fork(cases, k: int, limits: tuple, queue: int):
-    """Fork a child that runs the cases it pulls from ``queue`` through
-    ``count_orbits`` and writes their tables to a pipe as ``marshal`` data,
-    plain tuples; return the child's pid and the pipe's read end.  The child
-    stops before its next case once its parent has gone; if it raises, it
-    writes the error's text instead and exits 1."""
+def _fork(cases, k: int, queue: int):
+    """Fork a child that writes ``(position, _tally(p, k, R))`` of each case it
+    pulls from ``queue`` to a pipe as ``marshal`` data; return its pid and the
+    pipe's read end.  The child stops before its next case once its parent
+    has gone; if it raises, it writes the error's text instead and exits 1."""
     parent = os.getpid()
     read, write = os.pipe()
     pid = os.fork()
     if pid:
         os.close(write)
         return pid, open(read, "rb")
-    status, data, case, tables = 1, b"", None, []
+    status, data, case, tallies = 1, b"", None, []
     try:
         os.close(read)
         for j in _pulled(queue):
-            if os.getppid() != parent:  # orphaned: nobody reads the tables
+            if os.getppid() != parent:  # orphaned: nobody reads the counts
                 os._exit(status)
             _, _, p, R = cases[j]
             case = (p, k, R)
-            table = count_orbits(p, k, R, *limits)
-            tables.append((j, tuple((q.parts, n) for q, n in table.by_partition.items()),
-                           table.total, table.representatives))
-        data, status = marshal.dumps(tables), 0
+            tallies.append((j, _tally(p, k, R)))
+        data, status = marshal.dumps(tallies), 0
     except BaseException as exc:
         data = marshal.dumps(f"(p, k, R) = {case}: {type(exc).__name__}: {exc}")
     finally:

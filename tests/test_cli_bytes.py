@@ -9,7 +9,10 @@ they print shows here.  The four ``verify`` lines whose every case is
 ``SKIPPED`` were re-pinned when such a run began to exit 2; their stdout
 is unchanged.  The two ``verify --k 2 --p 3 --R 3..16`` and ``verify --k 1
 --p 11,13 --R 3..10`` lines, whose cases run on two cores where there are
-two, were pinned from the serial loop before that change.  ``verify
+two, were pinned from the serial loop before that change.  The two
+``verify --k 1 --p 3 --R 200..207`` lines (long rank-1 rows, one forked
+child on two cores) were pinned while the oracle still listed every orbit
+on ``verify``'s path, before it counted them by type instead.  ``verify
 --format csv`` is checked against the JSON results instead.
 """
 
@@ -113,6 +116,8 @@ PINNED = [
     ("verify --k 2 --p 3 --R 3..16 --format json", "238a0aa6b78732ac501accc0455c708e01a75ff2647db6558a2c4f1b774d9f6d"),
     ("verify --k 1 --p 11,13 --R 3..10 --format plain", "6a7d406249b521fa5c702ff36fd1c4143cd4ffc823559eeb8b6ea31055f59602"),
     ("verify --k 1 --p 11,13 --R 3..10 --format json", "733ed56151c6cf40d431241a472480c245c0280df8ebf28c30362c69bd9d8a22"),
+    ("verify --k 1 --p 3 --R 200..207 --format plain", "4e371113946939e5c771c91df0f0e47e46e05445a4495699242914c802e9e5c6"),
+    ("verify --k 1 --p 3 --R 200..207 --format json", "97b79db9639a132419683888059561cdb9099c3df198da587776fcdc0c4e4248"),
     ("verify --p 13 --k 2 --R 8 --format plain", "083e5f0f8d85c09c14c709155c76f547a82b1cca6bd69b87c65d43b825dfca2b"),
     ("verify --p 13 --k 2 --R 8 --format json", "4c385cefcc8cf5a3f4b97dad274735a62b9d7e7571e5d27c10200f3463fbaaf4"),
     ("verify --p 5 --k 2 --R 4 --guard-steps 10 --format plain", "19ddad0ed2998caed4c42cadb6b5559c9b4dd21ac9daaeec0464ba4ea0499484"),

@@ -648,14 +648,16 @@ def forks(monkeypatch):
     return pids
 
 
-def _same_field_for_field(got, want):
-    assert type(got) is type(want)
+def _same_counts(got, want):
+    """``got``, one case of ``count_orbits_many``, holds the counts of the
+    table ``want`` (or the same refusal)."""
     if isinstance(want, GuardExceeded):
-        assert str(got) == str(want)
+        assert type(got) is GuardExceeded and str(got) == str(want)
         return
-    assert got == want
-    assert list(got.by_partition.items()) == list(want.by_partition.items())
-    assert all(type(q) is PartitionType for q in got.by_partition)
+    assert type(got) is dict
+    assert got == want.by_partition
+    assert all(type(q) is PartitionType for q in got)
+    assert sum(got.values()) == want.total
 
 
 def _one_by_one(p_values, k, R_values, **limits):
@@ -667,6 +669,10 @@ def _one_by_one(p_values, k, R_values, **limits):
             except GuardExceeded as exc:
                 out.append(exc)
     return out
+
+
+def _by_partition(p_values, k, R_values):
+    return [count_orbits(p, k, R).by_partition for p in p_values for R in R_values]
 
 
 # the step limits refuse one case in the middle: (7, 1, 8) and (5, 2, 7)
@@ -685,7 +691,7 @@ def test_count_orbits_many_returns_what_count_orbits_returns(
     got = count_orbits_many(p_values, k, R_values, step_limit=step_limit)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        _same_field_for_field(g, w)
+        _same_counts(g, w)
     assert len(forks) == (1 if fork_min_steps == 0 else 0)
     assert _no_child_left()
 
@@ -695,9 +701,12 @@ def test_count_orbits_many_deals_to_every_usable_core(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     got = count_orbits_many((3, 5), 2, range(3, 6))
     assert len(forks) == 3
-    for g, w in zip(got, _one_by_one((3, 5), 2, range(3, 6))):
-        _same_field_for_field(g, w)
-    assert count_orbits_many((5,), 2, (4,)) == [count_orbits(5, 2, 4)]  # one case, one worker
+    want = _one_by_one((3, 5), 2, range(3, 6))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _same_counts(g, w)
+    [got] = count_orbits_many((5,), 2, (4,))  # one case, one worker
+    _same_counts(got, count_orbits(5, 2, 4))
     assert len(forks) == 3
     assert _no_child_left()
 
@@ -720,7 +729,7 @@ def test_cases_past_the_queue_run_in_the_parent(monkeypatch, forks):
     real = oracle._queue
     monkeypatch.setattr(oracle, "_queue", lambda n: real(min(n, 2)))
     monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
-    assert count_orbits_many((3,), 2, range(3, 9)) == [count_orbits(3, 2, R) for R in range(3, 9)]
+    assert count_orbits_many((3,), 2, range(3, 9)) == _by_partition((3,), 2, range(3, 9))
     assert len(forks) == 1
     assert _no_child_left()
 
@@ -740,29 +749,29 @@ def test_only_large_shares_fork_at_the_real_constant(forks, p_values, k, R_value
 def test_one_usable_core_forks_nothing(monkeypatch, forks):
     monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert count_orbits_many((3,), 2, range(3, 8)) == [count_orbits(3, 2, R) for R in range(3, 8)]
+    assert count_orbits_many((3,), 2, range(3, 8)) == _by_partition((3,), 2, range(3, 8))
     assert forks == []
 
 
 def test_no_fork_means_one_worker(monkeypatch):
     monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
     monkeypatch.delattr(os, "fork")
-    assert count_orbits_many((3,), 2, range(3, 8)) == [count_orbits(3, 2, R) for R in range(3, 8)]
+    assert count_orbits_many((3,), 2, range(3, 8)) == _by_partition((3,), 2, range(3, 8))
 
 
 def _failing_in(monkeypatch, side, fail):
-    """Make ``count_orbits`` call ``fail()`` in a child (``side`` "child")
-    or in this process ("parent"), and take 0.1 s a case on the other side,
-    so that both sides pull a case."""
-    real, test = oracle.count_orbits, os.getpid()
+    """Make the per-case count (``_tally``) call ``fail()`` in a child
+    (``side`` "child") or in this process ("parent"), and take 0.1 s a case
+    on the other side, so that both sides pull a case."""
+    real, test = oracle._tally, os.getpid()
 
-    def count(p, k, R, *limits):
+    def count(p, k, R):
         if (os.getpid() == test) == (side == "parent"):
             fail()
         time.sleep(0.1)
-        return real(p, k, R, *limits)
+        return real(p, k, R)
 
-    monkeypatch.setattr(oracle, "count_orbits", count)
+    monkeypatch.setattr(oracle, "_tally", count)
     monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
 
 
@@ -799,7 +808,8 @@ def test_a_failing_parent_still_reaps_its_child(monkeypatch, forks):
 
 def test_bad_input_raises_before_any_work(monkeypatch, forks):
     monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
-    monkeypatch.setattr(oracle, "count_orbits", None)  # never reached
+    monkeypatch.setattr(oracle, "_tally", None)  # never reached
+    monkeypatch.setattr(oracle, "_minima", None)
     with pytest.raises(ValueError, match="p = 4 is not prime"):
         count_orbits_many((5, 4), 2, (3, 4))
     with pytest.raises(ValueError, match="need R >= 3"):
@@ -816,16 +826,16 @@ def test_a_child_leaves_once_its_parent_is_killed(tmp_path):
     script = textwrap.dedent("""
         import os, sys, time
         import topotype.oracle as oracle
-        real, fork = oracle.count_orbits, os.fork
-        def slow(p, k, R, *limits):
+        real, fork = oracle._tally, os.fork
+        def slow(p, k, R):
             time.sleep(0.2)
-            return real(p, k, R, *limits)
+            return real(p, k, R)
         def reported():
             pid = fork()
             if pid:
                 print(pid, flush=True)
             return pid
-        oracle.count_orbits, os.fork, oracle.FORK_MIN_STEPS = slow, reported, 0
+        oracle._tally, os.fork, oracle.FORK_MIN_STEPS = slow, reported, 0
         os.sched_getaffinity = lambda pid: {0, 1}
         oracle.count_orbits_many([3], 1, range(3, 203))
     """)
@@ -851,3 +861,35 @@ def test_a_child_leaves_once_its_parent_is_killed(tmp_path):
     if running(child):
         os.kill(child, signal.SIGKILL)
         pytest.fail(f"child {child} outlived its killed parent")
+
+
+def _unlisted(*args):
+    raise AssertionError("a row was expanded into columns")
+
+
+@pytest.mark.parametrize("cores", [{0, 1}, {0}], ids=["forced-fork", "one-core"])
+def test_verify_path_lists_no_orbit(monkeypatch, forks, cores):
+    # count_orbits_many counts without expanding a row: with the expander
+    # gone it still returns each case's counts, in the parent and a child
+    want = _by_partition((3, 5), 2, range(3, 7))
+    monkeypatch.setattr(oracle, "_expander", _unlisted)
+    monkeypatch.setattr(oracle, "FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    assert count_orbits_many((3, 5), 2, range(3, 7)) == want
+    assert len(forks) == len(cores) - 1
+    assert _no_child_left()
+
+
+def test_verify_path_memory_does_not_grow_with_the_orbits(monkeypatch):
+    # (23, 1, 8) has 8,528 orbits: listing them peaks near 1.7 MiB of
+    # tracemalloc, counting them holds one walk's stack (under 0.01 MiB);
+    # tracemalloc slows the walk about 20-fold, so the case is a short one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    tracemalloc.start()
+    try:
+        got = count_orbits_many([23], 1, [8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == [{PartitionType((8,)): count_types_rank1(8, 23).T}]
