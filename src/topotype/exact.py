@@ -130,14 +130,14 @@ class RationalPolynomial:
             acc = acc * x + c
         return Fraction(acc, den)
 
-    def pretty(self, var: str = "p") -> str:
-        """Render as an integer-coefficient polynomial over a common denominator."""
+    def pretty(self) -> str:
+        """Render as an integer-coefficient polynomial in p over a common denominator."""
         den, ints = self._over_lcm()
         text = ""
         for power, c in reversed(list(enumerate(ints))):
             if c:
                 body = (str(abs(c)) if power == 0 else ("" if abs(c) == 1 else f"{abs(c)}*")
-                        + var + (f"^{power}" if power > 1 else ""))
+                        + "p" + (f"^{power}" if power > 1 else ""))
                 text += (f" {'-' if c < 0 else '+'} " if text else "-" if c < 0 else "") + body
         text = text or "0"
         return f"({text})/{den}" if den > 1 else text

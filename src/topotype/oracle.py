@@ -9,8 +9,8 @@ Vectors are numbered, never listed: in the lexicographic order of the
 nonzero vectors of F_p^k, vector i (from 0) is numbered v = i + 1 =
 u*p + w, so (u, w) = divmod(v, p), and for k = 1 the vector is (w,), the
 case u = 0.  The line (cyclic subgroup) of (u, w) is numbered w/u mod p,
-or p when u = 0.  Nothing is tabulated over F_p: memos hold only the
-scalars, lines and column tuples that the rows meet.
+or p when u = 0.  Nothing is tabulated over F_p, and inverses are not
+kept: memos hold only the lines and column tuples of rows kept or given.
 """
 
 from __future__ import annotations
@@ -137,20 +137,15 @@ class _Memo(dict):
         return value
 
 
-def _inverses(p: int) -> _Memo:
-    """Inverses mod p, computed as the rows meet them."""
-    return _Memo(lambda a: pow(a, -1, p))
-
-
-def _imager(p: int, k: int, inverse: _Memo):
+def _imager(p: int, k: int):
     """The candidate images of rows over F_p^k.
 
-    Returns ``least(runs, M, first)``: of a row given as runs (see ``_walk``)
-    with largest multiplicity M, the least image under the candidate maps
-    for its orbit minimum, bar the identity, if it sorts below the row, else
-    None; with ``first``, the first such image, as its key list (``_keys`` at
-    scale M).  At M = 1 the keys are the numbers, so rank 2's images skip the
-    counts, which pays where nearly every column is distinct (mid-sized p).
+    Returns ``least(runs, M)``, the keep rule: of a row given as runs (see
+    ``_walk``) with largest multiplicity M, the key list (``_keys`` at scale
+    M) of the first image under the candidate maps for its orbit minimum,
+    bar the identity, that sorts below the row, else None.  At M = 1 the
+    keys are the numbers, so rank 2's images skip the counts, which pays
+    where nearly every column is distinct (mid-sized p).
 
     Of two sorted tuples of equal length, the smaller has the larger
     multiplicity vector, read in vector order, and e_k is the first vector,
@@ -161,20 +156,18 @@ def _imager(p: int, k: int, inverse: _Memo):
     line of c_j.  So the preimage c_i of e_1 has the largest multiplicity
     off that line (M unless every column of multiplicity M lies on one
     line, and then the same for every c_j), and g = [c_i c_j]^{-1}.  These
-    conditions are necessary, so the least of the row and its images is the
-    orbit minimum.
+    conditions are necessary, so the orbit minimum is a candidate image of
+    every other row of the orbit.
     """
-    def least(runs, M, first):
-        found, best = None, _keys(runs, M)
+    def least(runs, M):
+        row = _keys(runs, M)
         tops = [j for j, (_, m) in enumerate(runs) if m == M]  # the c_j
         if k == 1:  # g = c_j^{-1}
-            for d in [inverse[runs[j][0]] for j in tops if runs[j][0] != 1]:
+            for d in (pow(runs[j][0], -1, p) for j in tops if runs[j][0] != 1):
                 image = sorted([(d * v % p + 1) * M - m for v, m in runs])
-                if image < best:
-                    if first:
-                        return image
-                    best = found = image
-            return found
+                if image < row:
+                    return image
+            return None
         # g v = d (D(v, c_j), D(c_i, v)), D(a, b) = a_u b_w - a_w b_u, d = 1/D(c_i, c_j)
         uw, against = [divmod(v, p) for v, _ in runs], {}  # against: D(c_i, v)
         for j in tops:
@@ -190,15 +183,13 @@ def _imager(p: int, k: int, inverse: _Memo):
                 if i not in against:
                     iu, iw = uw[i]
                     against[i] = [(iu * w - iw * u) % p for u, w in uw]
-                d = inverse[dj[i]]
+                d = pow(dj[i], -1, p)
                 image = sorted([d * a % p * p + d * b % p for a, b in zip(dj, against[i])]
                                if M == 1 else [(d * a % p * p + d * b % p + 1) * M - m
                                                for a, b, (_, m) in zip(dj, against[i], runs)])
-                if image < best:
-                    if first:
-                        return image
-                    best = found = image
-        return found
+                if image < row:
+                    return image
+        return None
 
     return least
 
@@ -256,10 +247,10 @@ def _runs(columns, p: int, k: int) -> tuple:
     return tuple((v, len(list(copies))) for v, copies in itertools.groupby(sorted(out)))
 
 
-def _classifier(p: int, inverse: _Memo):
+def _classifier(p: int):
     """``parts(runs)``: the parts, descending, of the partition type of a row
     given as runs, its columns' counts per line (see the module docstring)."""
-    line = _Memo(lambda v: v % p * inverse[v // p] % p if v >= p else p)
+    line = _Memo(lambda v: v % p * pow(v // p, -1, p) % p if v >= p else p)
 
     def parts(runs):
         counts = {}
@@ -275,7 +266,7 @@ def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
     cyclic subgroup (line) they span and take the multiset of group sizes."""
     check_prime(p)
     check_rank(k)
-    return PartitionType._descending(_classifier(p, _inverses(p))(_runs(columns, p, k)))
+    return PartitionType._descending(_classifier(p)(_runs(columns, p, k)))
 
 
 class OrbitTable(NamedTuple):
@@ -311,8 +302,7 @@ def _minima(p: int, k: int, R: int):
     more vectors lie above its last column than a row has columns.  A kept
     row is classified per run by line; nothing is held but the walk's stack.
     """
-    top, inverse = p**k, _inverses(p)
-    least, classify = _imager(p, k, inverse), _classifier(p, inverse)
+    top, least, classify = p**k, _imager(p, k), _classifier(p)
     for M in range(R, 0, -1):
         for M2 in range(1, min(M, R - M) + 1) if k == 2 else (0,):
             head, mid = ((1, M),), ((p, M2),)[:M2]  # e_k is number 1, e_1 = (1, 0) is p
@@ -320,7 +310,7 @@ def _minima(p: int, k: int, R: int):
             def row(free):  # the row of ``free``, or None if an image sorts below it
                 split = bisect.bisect_left(free, (p,))
                 runs = head + free[:split] + mid + free[split:]
-                return runs if least(runs, M, True) is None else None
+                return runs if least(runs, M) is None else None
 
             def pruned(free):
                 v = free[-1][0]
@@ -489,12 +479,14 @@ def _fork(cases, k: int, queue: int):
 
 
 def canonical_form(columns, p: int, k: int):
-    """Canonical representative of one rank-k multiset under the full group."""
+    """Canonical representative of one rank-k multiset under the full group,
+    its orbit minimum: the last row of a descent by ``_imager``'s keep rule."""
     check_prime(p)
     check_rank(k)
     runs = _runs(columns, p, k)
     if not _spans(runs, p, k):
         raise ValueError(f"columns do not span F_{p}^{k}")
-    M = max(m for _, m in runs)
-    image = _imager(p, k, _inverses(p))(runs, M, False)
-    return _expander(p, k)(runs if image is None else _unkeys(image, M))
+    M, least = max(m for _, m in runs), _imager(p, k)
+    while (image := least(runs, M)) is not None:
+        runs = _unkeys(image, M)
+    return _expander(p, k)(runs)

@@ -116,6 +116,9 @@ def _fit(partition, degree_bound, modulus, primes, values: dict) -> StratifiedPo
     """``fit_partition_polynomial``, recording each T(q) it computes as
     ``values[q]``."""
     part = partition if isinstance(partition, PartitionType) else PartitionType(tuple(partition))
+    for name, value, least in (("degree_bound", degree_bound, 0), ("modulus", modulus, 1)):
+        if value is not None and int(value) < least:
+            raise PolynomialFitError(f"{name} must be at least {least} (got {value})")
     db = default_degree_bound(part) if degree_bound is None else int(degree_bound)
     mod = default_modulus(part) if modulus is None else int(modulus)
     floor = fit_floor(part)

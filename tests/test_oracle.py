@@ -893,3 +893,18 @@ def test_verify_path_memory_does_not_grow_with_the_orbits(monkeypatch):
         tracemalloc.stop()
     assert peak < 2**20
     assert got == [{PartitionType((8,)): count_types_rank1(8, 23).T}]
+
+
+def test_verify_path_memory_does_not_grow_with_p(monkeypatch):
+    # (10007, 1, 3) meets nearly every unit mod p as a candidate's scale:
+    # a memo of inverses peaked near 0.9 MiB of tracemalloc, while the walk
+    # and the keep rule hold a few rows (about 0.01 MiB)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    tracemalloc.start()
+    try:
+        got = count_orbits_many([10007], 1, [3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
+    assert got == [{PartitionType((3,)): count_types_rank1(3, 10007).T}]

@@ -142,6 +142,15 @@ def test_fit_rejects_bad_primes():
         fit_partition_polynomial(PartitionType((2, 2)), modulus=1, primes=[3, 5, 7, 11, 13])
 
 
+@pytest.mark.parametrize("option,value", [("degree_bound", -1), ("degree_bound", -2),
+                                          ("modulus", 0), ("modulus", -4)])
+def test_fit_rejects_options_out_of_range(option, value):
+    # a negative degree bound fit zero polynomials with no held-out check,
+    # and a modulus below 1 gave a fit with no branches
+    with pytest.raises(PolynomialFitError, match=f"{option} must be at least"):
+        fit_partition_polynomial(PartitionType((2, 2)), **{option: value})
+
+
 def test_fit_detects_wrong_degree():
     with pytest.raises(PolynomialFitError, match="not polynomial"):
         fit_partition_polynomial(
