@@ -896,9 +896,9 @@ def test_verify_path_memory_does_not_grow_with_the_orbits(monkeypatch):
 
 
 def test_verify_path_memory_does_not_grow_with_p(monkeypatch):
-    # (10007, 1, 3) meets nearly every unit mod p as a candidate's scale:
-    # a memo of inverses peaked near 0.9 MiB of tracemalloc, while the walk
-    # and the keep rule hold a few rows (about 0.01 MiB)
+    # (10007, 1, 3) meets nearly every unit mod p as a candidate's scale, so
+    # anything kept per unit (a memo of inverses, about 0.9 MiB here) would
+    # grow with p; the walk and the keep rule hold a few rows (0.01 MiB)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     tracemalloc.start()
     try:

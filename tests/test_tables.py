@@ -145,8 +145,8 @@ def test_fit_rejects_bad_primes():
 @pytest.mark.parametrize("option,value", [("degree_bound", -1), ("degree_bound", -2),
                                           ("modulus", 0), ("modulus", -4)])
 def test_fit_rejects_options_out_of_range(option, value):
-    # a negative degree bound fit zero polynomials with no held-out check,
-    # and a modulus below 1 gave a fit with no branches
+    # a negative degree bound interpolates through no point, and a modulus
+    # below 1 has no residue classes, so neither gives a fit to check
     with pytest.raises(PolynomialFitError, match=f"{option} must be at least"):
         fit_partition_polynomial(PartitionType((2, 2)), **{option: value})
 
