@@ -5,15 +5,9 @@ past 64-bit ranges); exit codes are 0 (success), 1 (verification failure),
 2 (usage or admissibility error).
 """
 
-from __future__ import annotations
-
 import argparse
 import importlib.util
 import sys
-
-from .counting import count_types_rank2, total_types
-from .partitions import (ActionParams, NotHyperbolicError, check_admissible, check_prime,
-                         genus_of, parse_partition)
 
 
 def _lazy_module(name: str):
@@ -30,10 +24,11 @@ def _lazy_module(name: str):
     return sys.modules[name]
 
 
-# Only ``verify`` runs the oracle, so its source loads on the first
-# ``oracle.`` lookup there.  It is registered, unrun, at import so
-# that code looking it up in ``sys.modules`` after importing this module
-# still finds it: ``perfbench``'s traced run does.
+# Each command imports the modules it runs in its own function, so
+# ``--help`` and usage errors run none of them.  Only ``verify`` runs the
+# oracle, so its source loads on the first ``oracle.`` lookup there.  It is
+# registered, unrun, at import so that code looking it up in ``sys.modules``
+# after importing this module still finds it: ``perfbench``'s traced run does.
 oracle = _lazy_module(f"{__package__}.oracle")
 
 
@@ -82,6 +77,8 @@ def _emit(fmt: str, doc, csv_rows, plain_lines) -> None:
 def _header(p: int, k: int, R: int) -> dict:
     """The p/k/R/genus fields of a count or total record; the genus is
     None when (p, k, R) is not hyperbolic."""
+    from .partitions import ActionParams, NotHyperbolicError, genus_of
+
     try:
         genus = str(genus_of(ActionParams(p, k, R)))
     except NotHyperbolicError:
@@ -98,6 +95,9 @@ def _csv_cell(value):
 def cmd_count(args) -> int:
     """The count of one partition, or the sum over every admissible one of
     R; the audit fields show the one report, except at p = 2 with rank 2."""
+    from .counting import count_types_rank2, total_types
+    from .partitions import check_admissible, check_prime, parse_partition
+
     p, k, R = args.p, args.k, args.R
     check_prime(p)
     part = None
@@ -146,6 +146,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_total(args) -> int:
+    from .counting import total_types
+
     p, k, R = args.p, args.k, args.R
     report = total_types(p, k, R)
     fields = _header(p, k, R)
@@ -171,6 +173,8 @@ def _verify_line(row: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .counting import total_types
+
     k = args.k
     if not args.p or not args.R:
         raise ValueError("verify needs at least one prime and one R (empty range?)")

@@ -61,8 +61,23 @@ def divisors_greater_than_one(d: int) -> list[int]:
     return [x for x in small + large[::-1] if x > 1]
 
 
+# Below this, trial division (at most 500 odd divisors) beats Miller-Rabin's
+# 13 modular powers: 1.7 us against 10.5 us at n = 4283, the largest prime
+# ``table``'s search reaches, but 31.7 us against 17.0 us at n = 10^6 + 3
+# (2-core Xeon, Python 3.11).
+MILLER_RABIN_FROM = 10**6
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base in _BASES (Sorenson and
+# Webster, 2015): below it, Miller-Rabin with those bases is exact.
+_BASES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check (inputs here are small)."""
+    """Exact primality test: deterministic Miller-Rabin with the prime bases
+    up to 41 for ``MILLER_RABIN_FROM <= n < _BASES_EXACT_BELOW``, where that
+    base set has no strong pseudoprime; trial division elsewhere."""
+    if MILLER_RABIN_FROM <= n < _BASES_EXACT_BELOW:
+        return _strong_probable_prime(n)
     if n < 2:
         return False
     if n < 4:
@@ -74,6 +89,27 @@ def is_prime(n: int) -> bool:
         if n % q == 0:
             return False
         q += 2
+    return True
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Whether n is a strong probable prime to every base in _BASES; n must
+    exceed 41, the largest base."""
+    if n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -248,9 +249,10 @@ def test_verify_bad_R_exits_with_reason(capsys):
 
 
 def test_cli_import_does_not_load_numpy():
-    # count, total and --help load only cli, counting, partitions and exact;
-    # the oracle is registered unrun (cli._lazy_module), so none of its code
-    # has run, and tables, crosscheck and numpy are not imported at all
+    # importing cli loads only the package and cli: each command imports
+    # the modules it runs in its own function, and the oracle is registered
+    # unrun (cli._lazy_module), so none of its code has run; numpy is not
+    # imported at all
     src = str(Path(topotype.__file__).resolve().parents[1])
     probe = ("import sys, topotype.cli\n"
              "oracle = sys.modules['topotype.oracle']\n"
@@ -261,11 +263,35 @@ def test_cli_import_does_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src), check=True)
     loaded, oracle_ran, after_use = result.stdout.splitlines()
-    assert loaded == str(["topotype", "topotype.cli", "topotype.counting", "topotype.exact",
-                          "topotype.oracle", "topotype.partitions"])
+    assert loaded == str(["topotype", "topotype.cli", "topotype.oracle"])
     assert oracle_ran == "False"
     assert after_use == "topotype.oracle False"  # the first lookup runs it; numpy stays lazy
 
+
+def test_help_and_usage_errors_load_no_counting_module():
+    # --help, a subcommand's --help and a usage error (exit 2) stop in
+    # argparse, before any command runs, so none of the counting stack
+    # loads; the first count loads it
+    src = str(Path(topotype.__file__).resolve().parents[1])
+    probe = ("import contextlib, io, sys\n"
+             "from topotype.cli import main\n"
+             "stack = ('topotype.counting', 'topotype.partitions', 'topotype.exact')\n"
+             "for argv in (['--help'], ['count', '--help'], ['count']):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "        try:\n"
+             "            code = main(argv)\n"
+             "        except SystemExit as exc:\n"
+             "            code = exc.code\n"
+             "    print(code, [name for name in stack if name in sys.modules])\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(['count', '--p', '5', '--k', '2', '--partition', '2,2'])\n"
+             "print(code, [name for name in stack if name in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert result.stdout.splitlines() == [
+        "0 []", "0 []", "2 []",
+        "0 ['topotype.counting', 'topotype.partitions', 'topotype.exact']"]
 
 
 def test_count_and_total_load_neither_fractions_nor_csv():
@@ -344,6 +370,21 @@ def test_table_json(capsys):
     record = json.loads(out)
     assert record["R"] == "4"
     assert len(record["rows"]) >= 3
+
+
+def test_count_at_a_huge_prime_matches_the_fitted_table_row(capsys):
+    # the direct formula at p = 10^18 + 9 equals the {2,2,2} row that table
+    # fits from small sample primes, on the branch of p's residue class
+    p = 10**18 + 9
+    code, out, _ = run(capsys, "count", "--p", str(p), "--k", "2",
+                       "--partition", "2,2,2", "--format", "json")
+    assert code == 0
+    T = int(json.loads(out)["T"])
+    code, out, _ = run(capsys, "table", "--R", "6", "--format", "json")
+    assert code == 0
+    [row] = [row for row in json.loads(out)["rows"] if row["partition"] == ["2", "2", "2"]
+             and int(row["class"]) == p % int(row["modulus"])]
+    assert T == sum(Fraction(c) * p**i for i, c in enumerate(row["coefficients"]))
 
 
 def test_verify_rejects_negative_guards(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topotype import exact
 from topotype.crosscheck import gaussian_binomial
 from topotype.exact import (
     RationalPolynomial,
@@ -55,10 +56,40 @@ def test_divisors_greater_than_one():
     assert divisors_greater_than_one(12) == [2, 3, 4, 6, 12]
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(0, 25):
         assert is_prime(n) == (n in primes)
+    for n in range(2 * 10**5):
+        assert is_prime(n) == _trial_division(n), n
+    # both sides of the switch to Miller-Rabin
+    cutoff = exact.MILLER_RABIN_FROM
+    for n in range(cutoff - 2000, cutoff + 2000):
+        assert is_prime(n) == _trial_division(n), n
+
+
+def test_strong_probable_prime_test_agrees_with_trial_division():
+    # the Miller-Rabin branch alone, on inputs that is_prime sends to trial division
+    for n in range(43, 2 * 10**5):
+        assert exact._strong_probable_prime(n) == _trial_division(n), n
+
+
+@pytest.mark.parametrize("n", [10**18 + 9, 2**61 - 1, 10**12 + 39, 10**14 + 31])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 31
+    318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
 
 
 def test_exact_div():
