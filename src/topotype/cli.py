@@ -96,12 +96,15 @@ def cmd_count(args) -> int:
     """The count of one partition, or the sum over every admissible one of
     R; the audit fields show the one report, except at p = 2 with rank 2."""
     from .counting import count_types_rank2, total_types
-    from .partitions import check_admissible, check_prime, parse_partition
+    from .partitions import (check_admissible, check_part_count, check_prime, parse_partition,
+                             partition_tokens)
 
     p, k, R = args.p, args.k, args.R
     check_prime(p)
     part = None
     if args.partition is not None:
+        # the part count first, so a huge exponent is refused before it is expanded
+        check_part_count(sum(exp for _, exp in partition_tokens(args.partition)), p, k)
         part = parse_partition(args.partition)
         if R is not None and R != part.R:
             raise ValueError(f"--R {R} contradicts --partition {part}, which sums to {part.R}")

@@ -28,8 +28,8 @@ import math
 from typing import NamedTuple
 
 from .exact import binomial, divisors_greater_than_one, euler_phi, exact_div, multichoose
-from .partitions import (ActionParams, PartitionType, admissible_partitions, check_part_count,
-                         check_prime, marking_count)
+from .partitions import (PartitionType, admissible_partitions, check_part_count, check_prime,
+                         integer_parts, marking_count)
 
 
 class CountReport(NamedTuple):
@@ -57,9 +57,7 @@ class TotalReport(NamedTuple):
 
 
 def _as_parts(partition) -> tuple:
-    if isinstance(partition, PartitionType):
-        return partition.parts
-    return tuple(int(x) for x in partition)
+    return partition.parts if isinstance(partition, PartitionType) else integer_parts(partition)
 
 
 def _unit_sign(P: int, p: int) -> int:
@@ -159,8 +157,8 @@ def count_types_rank1(R: int, p: int) -> CountReport:
 
 
 def total_types(p: int, k: int, R: int) -> TotalReport:
-    """Sum of type counts over all admissible partitions of (p, k, R)."""
-    ActionParams(p, k, R)
+    """Sum of type counts over all admissible partitions of (p, k, R);
+    ``admissible_partitions`` checks (p, k, R)."""
     partitions = admissible_partitions(p, k, R)
     values = _values(p, set().union(*(part.parts for part in partitions)),
                      {part.n for part in partitions}, k)

@@ -4,8 +4,11 @@ The acceptance suite compares the production counts with these: the base,
 shortcut and unitary forms of |A|, the public (W, Z) counts of a part or
 block, the dynamic-programming and literal distributions of weighted entry
 sums, the Klein parity rule per partition and the Klein total by direct
-enumeration, the Gaussian binomials, and the literal lists of the nonzero
-vectors of F_p^k and of GL_k(F_p) that the oracle never builds.
+enumeration, the Gaussian binomials, the literal lists of the nonzero
+vectors of F_p^k and of GL_k(F_p) that the oracle never builds, and the
+literal list of generating column multisets and partition type of one
+multiset, from which the tests rebuild the oracle's orbit tables: they
+share no code with the oracle's walk.
 
 The distributions count matrices of nonnegative integers with one row per
 part, row i summing to P_i (optionally with a forced zero first column),
@@ -21,12 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .counting import _as_parts, _unit_sign
 from .exact import binomial, exact_div, is_prime, multichoose
 from .oracle import DEFAULT_MULTISET_LIMIT, GuardExceeded
-from .partitions import check_part_count, check_rank
+from .partitions import ActionParams, PartitionType, check_part_count, check_prime, check_rank
 
 
 class RowCounts(NamedTuple):
@@ -318,3 +322,40 @@ def gl_matrices(p: int, k: int) -> list:
         if (a * d - b * c) % p:
             out.append(((a, b), (c, d)))
     return out
+
+
+def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
+    """Yield every generating column multiset over F_p^k (zero row sums,
+    rank k, no zero columns) once, columns ascending, in lexicographic
+    order: the R-combinations with repetition of ``nonzero_vectors`` that
+    pass both tests.  The guard counts the multichoose(R, p^k-1)
+    combinations it scans."""
+    ActionParams(p, k, R)
+    m = multichoose(R, p**k - 1)
+    limit = DEFAULT_MULTISET_LIMIT if multiset_limit is None else int(multiset_limit)
+    if m > limit:
+        raise GuardExceeded(f"(p={p}, k={k}, R={R}): about {m} column multisets "
+                            f"exceeds the limit of {limit}")
+    for cols in itertools.combinations_with_replacement(nonzero_vectors(p, k), R):
+        if any(map(p.__rmod__, map(sum, zip(*cols)))):  # a row sum is nonzero mod p
+            continue
+        u0, w0 = cols[0] if k == 2 else (0, 0)
+        if k == 1 or any((u0 * w - w0 * u) % p for u, w in cols):
+            yield cols
+
+
+def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
+    """Partition type of a column multiset of rank k: the sizes of its
+    groups of columns on one line (cyclic subgroup), each column's line
+    read as its least nonzero multiple."""
+    check_prime(p)
+    check_rank(k)
+    lines = Counter()
+    for v in columns:
+        r = tuple(c % p for c in v)
+        if len(r) != k:
+            raise ValueError(f"column {tuple(v)} does not have k = {k} entries")
+        if not any(r):
+            raise ValueError(f"column {tuple(v)} is zero mod {p}")
+        lines[min(tuple(t * c % p for c in r) for t in range(1, p))] += 1
+    return PartitionType(lines.values())

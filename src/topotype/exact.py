@@ -73,11 +73,14 @@ _BASES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test: deterministic Miller-Rabin with the prime bases
-    up to 41 for ``MILLER_RABIN_FROM <= n < _BASES_EXACT_BELOW``, where that
-    base set has no strong pseudoprime; trial division elsewhere."""
-    if MILLER_RABIN_FROM <= n < _BASES_EXACT_BELOW:
-        return _strong_probable_prime(n)
+    """Exact primality test: trial division below ``MILLER_RABIN_FROM``, then
+    Miller-Rabin with the prime bases up to 41, exact below ``_BASES_EXACT_BELOW``.
+    From there a witness still proves n composite, but a pass raises ValueError."""
+    if n >= MILLER_RABIN_FROM:
+        if (probable := _strong_probable_prime(n)) and n >= _BASES_EXACT_BELOW:
+            raise ValueError(f"cannot decide whether {n} is prime: it passes the strong test to "
+                             f"every prime base up to 41, exact only below {_BASES_EXACT_BELOW}")
+        return probable
     if n < 2:
         return False
     if n < 4:

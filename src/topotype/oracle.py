@@ -34,13 +34,6 @@ class GuardExceeded(RuntimeError):
     """Enumeration refused: the estimated work exceeds the feasibility guard."""
 
 
-def _guard_multisets(p: int, k: int, R: int, m: int, multiset_limit) -> None:
-    limit = DEFAULT_MULTISET_LIMIT if multiset_limit is None else int(multiset_limit)
-    if m > limit:
-        raise GuardExceeded(f"(p={p}, k={k}, R={R}): about {m} column multisets "
-                            f"exceeds the limit of {limit}")
-
-
 def group_order(p: int, k: int) -> int:
     """|GL_k(F_p)|."""
     return math.prod(p**k - p**i for i in range(k))
@@ -60,34 +53,35 @@ def check_feasible(p: int, k: int, R: int, multiset_limit=None, step_limit=None)
     """
     ActionParams(p, k, R)
     m = multichoose(R - 1 - k, p**k - 1)
-    _guard_multisets(p, k, R, m, multiset_limit)
-    step_limit = DEFAULT_STEP_LIMIT if step_limit is None else int(step_limit)
     steps = m * R * min(math.perm(R, k), group_order(p, k))
-    if steps > step_limit:
-        raise GuardExceeded(f"(p={p}, k={k}, R={R}): about {steps} canonicalization "
-                            f"steps exceeds the limit of {step_limit}")
+    guards = ((m, "column multisets", multiset_limit, DEFAULT_MULTISET_LIMIT),
+              (steps, "canonicalization steps", step_limit, DEFAULT_STEP_LIMIT))
+    for about, what, limit, default in guards:
+        limit = default if limit is None else int(limit)
+        if about > limit:
+            raise GuardExceeded(f"(p={p}, k={k}, R={R}): about {about} {what} "
+                                f"exceeds the limit of {limit}")
     return steps
 
 
-def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: int = 0,
-          pruned=None):
-    """Nondecreasing n-tuples of vector numbers (see the module docstring)
-    from ``lo`` on, none equal to ``skip``, with coordinate sums -``sums``
-    mod p, in lexicographic order, as runs ``((v, m), ...)``: each distinct
-    v once, ascending, with its count m.  Numbers below p (u = 0) occur at
-    most caps[0] times, others caps[1].  The first n-1 entries are walked
-    depth first, the last is forced by the sums; ``pruned(prefix)`` true
-    drops every tuple extending ``prefix``."""
+def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, pruned):
+    """Nondecreasing n-tuples of vector numbers (see the module docstring),
+    none e_k (1) or e_1 (p), with coordinate sums -``sums`` mod p, in
+    lexicographic order, as runs ``((v, m), ...)``: each distinct v once,
+    ascending, with its count m.  Numbers below p (u = 0) occur at most
+    caps[0] times, others caps[1].  The first n-1 entries are walked depth
+    first, the last is forced by the sums; ``pruned(prefix)`` true drops
+    every tuple extending ``prefix``."""
     top = p**k
     if n < 2:  # nothing to walk: the forced entry alone, or nothing
         f = -sums[0] % p * p + -sums[1] % p
-        if n == 0 and f == 0 or n == 1 and f >= lo and f != skip:
+        if n == 0 and f == 0 or n == 1 and f >= 2 and f != p:
             yield ((f, 1),)[:n]
         return
     stack = [((), n, *sums)]  # (prefix, entries left, coordinate sums)
     while stack:
         free, left, su, sw = stack.pop()
-        last, run = free[-1] if free else (lo, 0)
+        last, run = free[-1] if free else (2, 0)
         if left == 2:  # each v = (u, w) and its forced f = (fu, c - w), with f >= v
             c = -sw % p
             for u in range(last // p, top // p):
@@ -103,7 +97,7 @@ def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: i
                 for w in ws:
                     v, f = base + w, fu * p + (c - w) % p
                     head, r = (free[:-1], run + 1) if v == last else (free, 1)
-                    if (r < cap or r == cap and f != v) and v != skip and f != skip:
+                    if (r < cap or r == cap and f != v) and v != p and f != p:
                         yield head + ((v, r + 1),) if f == v else head + ((v, r), (f, 1))
             continue
         children = []
@@ -112,7 +106,7 @@ def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: i
             above = (top - base - p) * caps[1]  # room in the blocks after u
             for v in range(max(base, last), base + p):
                 r = run + 1 if v == last else 1
-                if r > cap or v == skip:
+                if r > cap or v == p:
                     continue
                 # room after v: its spare copies, then every larger number
                 room = cap - r + (base + p - 1 - v) * cap + above
@@ -121,7 +115,7 @@ def _walk(p: int, k: int, n: int, sums: tuple, caps: tuple, lo: int = 1, skip: i
                         v > (c + p) // 2 or c + 1 > (c + p) // 2):
                     continue
                 prefix = (free[:-1] if v == last else free) + ((v, r),)
-                if pruned is None or not pruned(prefix):
+                if not pruned(prefix):
                     children.append((prefix, left - 1, su + u, sw + v - base))
         stack.extend(reversed(children))
 
@@ -210,27 +204,11 @@ def _unkeys(keys, S: int) -> list:
     return [(key // S, S - key % S) for key in keys]
 
 
-def _spans(runs, p: int, k: int) -> bool:
-    """Whether runs span F_p^k: a column, and for k = 2 one off the first's line."""
-    u0, w0 = divmod(runs[0][0], p) if runs else (0, 0)
-    return bool(runs) if k == 1 else any((v // p * w0 - v % p * u0) % p for v, _ in runs)
-
-
 def _expander(p: int, k: int):
     """``columns(runs)``: the column tuple of a row given as runs.  Each run is
     converted once, so the rows share its tuples: an orbit table keeps them."""
     copies = _Memo(lambda run: (divmod(run[0], p)[2 - k:],) * run[1]).__getitem__
     return lambda runs: tuple(itertools.chain.from_iterable(map(copies, runs)))
-
-
-def enumerate_generating_sets(p: int, k: int, R: int, multiset_limit=None):
-    """Yield every generating column multiset (zero row sums, rank k, no zero
-    columns) once, columns ascending, in lexicographic order; the guard
-    counts the walk's prefixes."""
-    ActionParams(p, k, R)
-    _guard_multisets(p, k, R, multichoose(R - 1, p**k - 1), multiset_limit)
-    yield from map(_expander(p, k),
-                   filter(lambda runs: _spans(runs, p, k), _walk(p, k, R, (0, 0), (R, R))))
 
 
 def _runs(columns, p: int, k: int) -> tuple:
@@ -259,14 +237,6 @@ def _classifier(p: int):
         return tuple(sorted(counts.values(), reverse=True))
 
     return parts
-
-
-def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
-    """Partition type of a column multiset of rank k: group columns by the
-    cyclic subgroup (line) they span and take the multiset of group sizes."""
-    check_prime(p)
-    check_rank(k)
-    return PartitionType._descending(_classifier(p)(_runs(columns, p, k)))
 
 
 class OrbitTable(NamedTuple):
@@ -316,7 +286,7 @@ def _minima(p: int, k: int, R: int):
                 v = free[-1][0]
                 return top - v > R and (k == 1 or v > p) and row(free) is None
 
-            walk = _walk(p, k, R - M - M2, (M2, M), (M, M2), 2, p, pruned)
+            walk = _walk(p, k, R - M - M2, (M2, M), (M, M2), pruned)
             for runs in filter(None, map(row, walk)):  # for k = 1 all R columns share a line
                 yield runs, classify(runs) if k == 2 else (R,)
 
@@ -484,7 +454,9 @@ def canonical_form(columns, p: int, k: int):
     check_prime(p)
     check_rank(k)
     runs = _runs(columns, p, k)
-    if not _spans(runs, p, k):
+    # they span F_p^k: there is a column, and for k = 2 one off the first's line
+    u0, w0 = divmod(runs[0][0], p) if runs else (0, 0)
+    if not runs or k == 2 and not any((v // p * w0 - v % p * u0) % p for v, _ in runs):
         raise ValueError(f"columns do not span F_{p}^{k}")
     M, least = max(m for _, m in runs), _imager(p, k)
     while (image := least(runs, M)) is not None:

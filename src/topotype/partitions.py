@@ -28,7 +28,7 @@ class PartitionType:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        ps = tuple(sorted(map(int, parts), reverse=True))
+        ps = tuple(sorted(integer_parts(parts), reverse=True))
         if not ps or ps[-1] < 1:
             raise ValueError("parts must be positive integers")
         self.parts = ps
@@ -67,6 +67,15 @@ class PartitionType:
         return "{" + ",".join(str(x) for x in self.parts) + "}"
 
 
+def integer_parts(parts) -> tuple:
+    """``parts`` as ints; raises ValueError naming a part that ``int`` would truncate."""
+    parts = tuple(parts)
+    for x in parts:
+        if int(x) != x:
+            raise ValueError(f"part {x!r} is not an integer")
+    return tuple(map(int, parts))
+
+
 class ActionParams:
     """Parameters (p, k, R) of a fully ramified Z_p^k action on a surface."""
 
@@ -96,7 +105,10 @@ def check_rank(k: int) -> None:
 def check_part_count(n: int, p: int, k: int = 2) -> None:
     """Raise AdmissibilityError unless n parts can be marked with distinct
     cyclic subgroups of Z_p^k: k <= n <= (p^k - 1)/(p - 1), at least one
-    part per generator and at most one per subgroup."""
+    part per generator and at most one per subgroup; k in (1, 2), p >= 2 (no primality test)."""
+    check_rank(k)
+    if p < 2:
+        raise ValueError(f"p = {p} is not prime: need an odd prime or 2")
     if n < k:
         raise AdmissibilityError(
             f"fewer parts ({n}) than the rank (k={k}); the columns could not generate"
@@ -148,8 +160,7 @@ def admissible_partitions(p: int, k: int, R: int) -> list[PartitionType]:
     one subgroup gives the single type {R}.  Ordered by part count, then
     ascending lexicographically.
     """
-    if R < 3:
-        raise ValueError("need R >= 3")
+    ActionParams(p, k, R)
     n_max = (p**k - 1) // (p - 1)
     out, memo = [], {}
     for n in range(k, min(n_max, R) + 1):
@@ -182,9 +193,10 @@ def marking_count(p: int, n: int, k: int = 2) -> int:
     return binomial(p - 2, n - 3)
 
 
-def parse_partition(text: str) -> PartitionType:
-    """Parse '2,2,1' or exponent notation '1^4' (mixing allowed: '2,1^3')."""
-    parts = []
+def partition_tokens(text: str) -> list:
+    """(part, exponent) of each token of '2,2,1' or '1^4' (mixing allowed: '2,1^3'):
+    the part count, their exponents' sum, is known before any part is expanded."""
+    tokens = []
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -197,5 +209,10 @@ def parse_partition(text: str) -> PartitionType:
                              "or base^exponent") from None
         if exp < 1:
             raise ValueError(f"exponent must be positive in {token!r}")
-        parts.extend([base] * exp)
-    return PartitionType(tuple(parts))
+        tokens.append((base, exp))
+    return tokens
+
+
+def parse_partition(text: str) -> PartitionType:
+    """Parse '2,2,1' or exponent notation '1^4' (mixing allowed: '2,1^3')."""
+    return PartitionType([base for base, exp in partition_tokens(text) for _ in range(exp)])

@@ -171,8 +171,8 @@ def _count(part: PartitionType, q: int, values: dict) -> int:
 def table_rows(R: int) -> list:
     """Rank-2 partition rows of the R-section of the table: the partitions
     admissible for every p >= R - 1 (there n <= p + 1 never binds), in
-    (part count, ascending lex) order."""
-    return admissible_partitions(R - 1, 2, R)
+    (part count, ascending lex) order, listed at the least such prime (or 5)."""
+    return admissible_partitions(_primes_in_class(0, 1, 1, R - 1)[0], 2, R)
 
 
 class TableRow(NamedTuple):

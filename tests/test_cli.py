@@ -458,3 +458,24 @@ def test_console_entry_and_module_guard(capsys):
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert result.stdout.startswith("usage: topotype")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("partition, parts", [("2^99999999999", 99999999999),
+                                              ("2^100000000", 100000000),
+                                              ("3,2^100000000", 100000001)])
+def test_count_refuses_a_huge_exponent_before_expanding_it(capsys, fmt, partition, parts):
+    # the part count is read from the tokens; [2] * 99999999999 raised MemoryError
+    code, out, err = run(capsys, "count", "--p", "5", "--k", "2", "--partition", partition,
+                         "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: {parts} parts but only 6 cyclic subgroups available (p=5, k=2)\n"
+
+
+def test_count_names_the_primality_bound(capsys):
+    # this p passes every Miller-Rabin base; trial division would run for days
+    code, out, err = run(capsys, "count", "--p", "3317044064679887385962123", "--k", "2",
+                         "--partition", "2,2,2")
+    assert (code, out) == (2, "")
+    assert "cannot decide whether 3317044064679887385962123 is prime" in err
+    assert err.endswith("exact only below 3317044064679887385961981\n")

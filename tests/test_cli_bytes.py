@@ -128,6 +128,8 @@ PINNED = [
     ("verify --p 5 --k 2 --R 6..3 --format json", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("verify --p 4 --k 2 --R 4 --format plain", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("verify --p 4 --k 2 --R 4 --format json", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("count --p 5 --k 2 --partition 2^99999999999 --format plain", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
+    ("count --p 5 --k 2 --partition 2^99999999999 --format json", "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     ("table --R 6 --primes 5,7,11,13,17,19 --format plain", "e9bc88b4a00602348ba93c92e4ee78998a4874e5d509bcbd9ea67d4801a29da7"),
     ("table --R 6 --primes 5,7,11,13,17,19 --format json", "aad4da29bdee50924aca7ba6c5209dc6eba00a9d3b742bd4c5d03c1e81e47f44"),
     ("table --R 6 --primes 5,7,11,13,17,19 --format csv", "33442773237ff149a392af69033b0e65a5f9455a67c3d5fe6768e388d2f0bf76"),

@@ -378,3 +378,15 @@ def test_bad_p_still_rejected():
 def test_total_types_rejects_bad_rank(k):
     with pytest.raises(ValueError, match=f"k = {k}"):
         total_types(5, k, 6)
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: count_types_rank2((2.9, 1.5, 1.2), 5), 2.9),
+    (lambda: card_A((2.5, 2), 5), 2.5),
+    (lambda: card_A((2, 2, 1.5), 7), 1.5),
+    (lambda: card_A_shortcut((3.5, 3, 2), 5), 3.5),
+])
+def test_a_part_that_is_not_an_integer_is_named(call, bad):
+    # int() truncation once counted (2.9, 1.5, 1.2) as {2,1,1}
+    with pytest.raises(ValueError, match=f"part {bad} is not an integer"):
+        call()

@@ -238,3 +238,27 @@ def test_polynomial_value_is_the_sum_of_its_terms(coeffs, x):
     value = RationalPolynomial(coeffs)(x)
     assert isinstance(value, Fraction)
     assert value == sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("n", [
+    exact._BASES_EXACT_BELOW + 1,  # even
+    10**25 + 1,  # divisible by 11
+    (10**12 + 39) * (10**14 + 31),  # two large prime factors
+])
+def test_is_prime_proves_composites_above_the_exact_bound(n):
+    # a witness proves n composite at any size
+    assert n >= exact._BASES_EXACT_BELOW
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [
+    exact._BASES_EXACT_BELOW,  # the least strong pseudoprime to every base
+    3317044064679887385962123,  # prime
+    2**89 - 1,  # a Mersenne prime
+])
+def test_is_prime_refuses_to_decide_a_strong_probable_prime_above_the_bound(n):
+    # trial division would take about sqrt(n)/2 > 10^12 steps; nothing else
+    # here proves such an n prime, so the test names the bound instead
+    with pytest.raises(ValueError, match=f"cannot decide whether {n} is prime: .* exact only "
+                                         f"below {exact._BASES_EXACT_BELOW}$"):
+        is_prime(n)

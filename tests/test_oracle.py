@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import itertools
 import math
 import os
@@ -13,6 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import topotype
 import topotype.crosscheck as crosscheck
 import topotype.oracle as oracle
 from hypothesis import assume, given, settings
@@ -21,7 +24,9 @@ from hypothesis import strategies as st
 from topotype.counting import count_types_rank1
 from topotype.crosscheck import (
     card_A_base3,
+    classify_partition,
     distribution_bruteforce,
+    enumerate_generating_sets,
     full_distribution,
     gl_matrices,
     nonzero_vectors,
@@ -31,10 +36,8 @@ from topotype.oracle import (
     GuardExceeded,
     canonical_form,
     check_feasible,
-    classify_partition,
     count_orbits,
     count_orbits_many,
-    enumerate_generating_sets,
     group_order,
 )
 from topotype.partitions import PartitionType, admissible_partitions
@@ -83,27 +86,6 @@ def test_enumerate_yields_sorted_multisets_once():
         seen.add(cols)
 
 
-def _plain_generating_sets(p, k, R):
-    """Reference enumeration: full product over sorted multisets."""
-    vecs = nonzero_vectors(p, k)
-    out = set()
-    for cols in itertools.combinations_with_replacement(vecs, R):
-        if any(sum(v[c] for v in cols) % p for c in range(k)):
-            continue
-        if k == 2:
-            v0 = cols[0]
-            if not any((v0[0] * v[1] - v0[1] * v[0]) % p for v in cols[1:]):
-                continue
-        out.add(cols)
-    return out
-
-
-def test_enumerate_matches_plain_product():
-    for p, k, R in ((3, 2, 3), (3, 2, 4), (3, 1, 5), (3, 1, 6), (2, 2, 5)):
-        got = set(enumerate_generating_sets(p, k, R))
-        assert got == _plain_generating_sets(p, k, R)
-
-
 def test_enumeration_size_at_3_2_3():
     # 8 generating triples: 4 unordered direction choices times |A| = 2
     got = list(enumerate_generating_sets(3, 2, 3))
@@ -143,6 +125,41 @@ def test_classify_partition_checks_p_and_k(p, k, message):
         classify_partition([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)][:k + 1], p, k)
 
 
+def _private_oracle_names_used(function, seen):
+    """The private ``oracle`` objects that ``function`` reaches through the
+    names its source reads, following the ``crosscheck`` functions it calls."""
+    private = {id(value) for name, value in vars(oracle).items() if name.startswith("_")}
+    used = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function)))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "oracle":
+            used |= {node.attr} if node.attr.startswith("_") else set()
+        if not isinstance(node, ast.Name) or node.id not in function.__globals__:
+            continue
+        value = function.__globals__[node.id]
+        if value is oracle or value is function or id(value) in seen:
+            continue
+        if id(value) in private:
+            used.add(node.id)
+        elif inspect.isfunction(value) and value.__module__ == crosscheck.__name__:
+            seen.add(id(value))
+            used |= _private_oracle_names_used(value, seen)
+    return used
+
+
+@pytest.mark.parametrize("name", ["enumerate_generating_sets", "classify_partition"])
+def test_the_population_and_classification_share_no_oracle_code(name):
+    # the tests judge the oracle's walk against these two, so they must be
+    # the literal references in crosscheck, not the walk or its classifier
+    function = getattr(topotype, name)
+    assert function is getattr(crosscheck, name)
+    assert not hasattr(oracle, name)
+    assert _private_oracle_names_used(function, set()) == set()
+    imported = [alias.name for node in ast.walk(ast.parse(inspect.getsource(crosscheck)))
+                if isinstance(node, ast.ImportFrom) and node.module == "oracle"
+                for alias in node.names]
+    assert imported and not [n for n in imported if n.startswith("_")]
+
+
 def test_every_enumerated_multiset_is_admissible():
     for p, k, R in ((3, 2, 3), (3, 2, 4), (3, 2, 5), (3, 2, 6), (5, 2, 4)):
         allowed = set(admissible_partitions(p, k, R))
@@ -178,18 +195,11 @@ BATCH_CASES = ([(2, 2, R) for R in range(3, 11)] + [(7, 1, R) for R in range(3, 
 
 @pytest.mark.parametrize("p,k,R", BATCH_CASES)
 def test_count_orbits_classifies_like_classify_partition(p, k, R):
-    # count_orbits classifies all representatives in one array pass; the
-    # public per-multiset rule, and a literal grouping of the columns by the
-    # line they span (the smallest of their nonzero multiples), agree with it
+    # count_orbits classifies each kept row per run by its line number; the
+    # literal rule (each column's line is its least nonzero multiple) agrees
     table = count_orbits(p, k, R)
     assert table.by_partition == Counter(classify_partition(rep, p, k)
                                          for rep in table.representatives)
-
-    def literal(rep):
-        lines = Counter(min(tuple(t * c % p for c in v) for t in range(1, p)) for v in rep)
-        return PartitionType(tuple(lines.values()))
-
-    assert table.by_partition == Counter(map(literal, table.representatives))
     assert sum(table.by_partition.values()) == table.total == len(table.representatives)
 
 
@@ -414,13 +424,13 @@ def test_guard_multiset_limit():
 
 
 def test_enumerate_guard_counts_the_prefixes_it_expands():
-    # (3, 2, 4): the stream expands multichoose(3, 8) = 120 prefixes for 30
-    # multisets; multichoose(4, 8) = 330 overstates the work
+    # (3, 2, 4): the literal enumeration scans all multichoose(4, 8) = 330
+    # combinations of the 8 nonzero vectors for its 30 multisets
     full = list(enumerate_generating_sets(3, 2, 4))
     assert len(full) == 30
-    assert list(enumerate_generating_sets(3, 2, 4, multiset_limit=120)) == full
-    with pytest.raises(GuardExceeded, match="about 120 column multisets"):
-        list(enumerate_generating_sets(3, 2, 4, multiset_limit=119))
+    assert list(enumerate_generating_sets(3, 2, 4, multiset_limit=330)) == full
+    with pytest.raises(GuardExceeded, match="about 330 column multisets"):
+        list(enumerate_generating_sets(3, 2, 4, multiset_limit=329))
 
 
 def test_bad_R_is_named():
@@ -576,8 +586,7 @@ def test_the_oracle_computes_vector_indices(monkeypatch):
     # ``crosscheck.nonzero_vectors`` is the reference order only; no oracle
     # entry lists the vectors to read or write an index
     calls = (lambda: count_orbits(5, 2, 5), lambda: count_orbits(11, 1, 6),
-             lambda: canonical_form([(3, 4), (6, 1), (3, 4), (0, 5), (2, 0)], 7, 2),
-             lambda: list(enumerate_generating_sets(3, 2, 5)))
+             lambda: canonical_form([(3, 4), (6, 1), (3, 4), (0, 5), (2, 0)], 7, 2))
     expected = [call() for call in calls]
 
     def listed(p, k):

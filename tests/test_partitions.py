@@ -13,7 +13,9 @@ from topotype.partitions import (
     genus_of,
     marking_count,
     parse_partition,
+    partition_tokens,
 )
+from topotype import partitions
 
 
 def test_partition_type_canonicalizes_descending():
@@ -255,3 +257,51 @@ def test_parse_partition():
         parse_partition("")
     with pytest.raises(ValueError):
         parse_partition("1,-2")
+
+
+@pytest.mark.parametrize("parts, bad", [((2.9, 1.5, 1), 2.9), ((2, 1.5, 1), 1.5), ((3, 2, 0.5), 0.5)])
+def test_partition_type_names_a_part_that_is_not_an_integer(parts, bad):
+    # int() would truncate 2.9 to 2 and give {2,1,1}
+    with pytest.raises(ValueError, match=f"^part {re.escape(repr(bad))} is not an integer$"):
+        PartitionType(parts)
+    assert PartitionType((2.0, 1, 1)) == PartitionType((2, 1, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: admissible_partitions(1, 2, 5), "p = 1 is not prime"),
+    (lambda: admissible_partitions(4, 2, 5), "p = 4 is not prime"),
+    (lambda: admissible_partitions(5, 3, 4), "k = 3: only ranks 1 and 2"),
+    (lambda: admissible_partitions(5, 2, 2), "R = 2: need R >= 3"),
+    (lambda: marking_count(1, 3, 2), "p = 1 is not prime"),
+    (lambda: marking_count(0, 3), "p = 0 is not prime"),
+    (lambda: marking_count(5, 3, 3), "k = 3: only ranks 1 and 2"),
+    (lambda: check_part_count(3, 1), "p = 1 is not prime"),
+    (lambda: check_part_count(3, 5, 0), "k = 0: only ranks 1 and 2"),
+], ids=["admissible-p1", "admissible-p4", "admissible-k3", "admissible-R2", "marking-p1",
+        "marking-p0", "marking-k3", "part-count-p1", "part-count-k0"])
+def test_bad_p_and_k_are_named_not_divided_by(call, message):
+    # p = 1 once divided by p - 1 = 0, and k = 3 listed a rank-3 type
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_the_part_count_check_tests_no_primality(monkeypatch):
+    # check_part_count runs once per part count of a total: O(1) checks
+    # only, so a total tests p once, in admissible_partitions
+    from topotype.counting import total_types
+
+    calls = []
+    real = partitions.is_prime
+    monkeypatch.setattr(partitions, "is_prime", lambda n: calls.append(n) or real(n))
+    check_part_count(3, 4, 2)  # 4 is not prime, and is not asked about
+    assert calls == []
+    assert total_types(1000003, 2, 12).total > 0
+    assert calls == [1000003]
+
+
+def test_partition_tokens_count_the_parts_before_expanding_them():
+    assert partition_tokens("2,1^3") == [(2, 1), (1, 3)]
+    assert partition_tokens(" 3 , 2^2") == [(3, 1), (2, 2)]
+    assert partition_tokens("2^99999999999") == [(2, 99999999999)]
+    with pytest.raises(ValueError, match="exponent must be positive"):
+        partition_tokens("2^0")

@@ -173,7 +173,7 @@ def test_table_rows():
         (2, 1, 1, 1, 1),
         (1, 1, 1, 1, 1, 1),
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^R = 2: need R >= 3$"):
         table_rows(2)
 
 
