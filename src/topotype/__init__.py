@@ -14,15 +14,14 @@ _EXPORTS = {
     "crosscheck": ("Distribution", "GaussianBinomial", "PartWZ", "block_wz", "card_A_base2",
                    "card_A_base3", "card_A_shortcut", "card_A_unitary", "classify_partition",
                    "count_types_klein", "distribution_bruteforce", "enumerate_generating_sets",
-                   "full_distribution", "gaussian_binomial", "klein_type_count", "part_wz",
-                   "row_counts"),
+                   "fit_partition_polynomial", "full_distribution", "gaussian_binomial",
+                   "interpolate", "klein_type_count", "part_wz", "row_counts"),
     "exact": ("RationalPolynomial", "binomial", "divisors_greater_than_one", "euler_phi",
-              "interpolate", "multichoose"),
+              "multichoose"),
     "oracle": ("GuardExceeded", "OrbitTable", "count_orbits"),
     "partitions": ("ActionParams", "AdmissibilityError", "NotHyperbolicError", "PartitionType",
                    "admissible_partitions", "genus_of", "marking_count", "parse_partition"),
-    "tables": ("PolynomialFitError", "StratifiedPolynomial", "build_table",
-               "fit_partition_polynomial"),
+    "tables": ("PolynomialFitError", "StratifiedPolynomial", "build_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

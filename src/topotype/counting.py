@@ -140,7 +140,8 @@ def count_types_rank2(partition, p: int) -> CountReport:
 def _count(part: PartitionType, p: int, values: tuple) -> CountReport:
     """The type count of ``part`` at a prime p, for either rank, reading
     per-part and per-n values from ``values``; the caller has checked p and
-    the part count."""
+    the part count.  ``tables`` runs it with p the variable of
+    ``RationalPolynomial``s: it uses only ring operations and exact division."""
     signed, burnside, marks = values
     a = _card_A(part.parts, signed, p)
     terms = _burnside_terms(part.parts, burnside)

@@ -8,7 +8,10 @@ enumeration, the Gaussian binomials, the literal lists of the nonzero
 vectors of F_p^k and of GL_k(F_p) that the oracle never builds, and the
 literal list of generating column multisets and partition type of one
 multiset, from which the tests rebuild the oracle's orbit tables: they
-share no code with the oracle's walk.
+share no code with the oracle's walk.  The sampled fit of a table row,
+exact interpolation of ``count_types_rank2`` at primes of each residue
+class verified on held-out primes, is the reference for the polynomials
+that ``tables`` computes symbolically.
 
 The distributions count matrices of nonnegative integers with one row per
 part, row i summing to P_i (optionally with a forced zero first column),
@@ -27,10 +30,12 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .counting import _as_parts, _unit_sign
-from .exact import binomial, exact_div, is_prime, multichoose
+from .counting import _as_parts, _unit_sign, count_types_rank2
+from .exact import RationalPolynomial, binomial, exact_div, is_prime, multichoose
 from .oracle import DEFAULT_MULTISET_LIMIT, GuardExceeded
 from .partitions import ActionParams, PartitionType, check_part_count, check_prime, check_rank
+from .tables import (PolynomialFitError, StratifiedPolynomial, _primes_in_class, default_modulus,
+                     fit_floor)
 
 
 class RowCounts(NamedTuple):
@@ -359,3 +364,109 @@ def classify_partition(columns, p: int, k: int = 2) -> PartitionType:
             raise ValueError(f"column {tuple(v)} is zero mod {p}")
         lines[min(tuple(t * c % p for c in r) for t in range(1, p))] += 1
     return PartitionType(lines.values())
+
+
+def default_degree_bound(partition: PartitionType) -> int:
+    """Degree of T(p): deg|A| = R-2, marking adds n-3 (when n > 3), the
+    scalar average removes 1."""
+    return partition.R - 3 + max(0, partition.n - 3)
+
+
+def fit_partition_polynomial(partition, degree_bound=None, modulus=None,
+                             primes=None) -> StratifiedPolynomial:
+    """Fit T(p) for one rank-2 partition as exact polynomials per residue class.
+
+    Uses degree_bound+1 sample primes per class for the interpolation and
+    verifies the result on every remaining prime of that class (at least one
+    held-out prime is always present).  Every sample prime must be at least
+    ``fit_floor(partition)``.  When ``primes`` is None a sufficient pool is
+    generated automatically; an explicit list that leaves a unit class
+    short raises an error naming the class.
+    """
+    part = partition if isinstance(partition, PartitionType) else PartitionType(tuple(partition))
+    for name, value, least in (("degree_bound", degree_bound, 0), ("modulus", modulus, 1)):
+        if value is not None and int(value) < least:
+            raise PolynomialFitError(f"{name} must be at least {least} (got {value})")
+    db = default_degree_bound(part) if degree_bound is None else int(degree_bound)
+    mod = default_modulus(part) if modulus is None else int(modulus)
+    floor = fit_floor(part)
+    classes = [c for c in range(mod) if math.gcd(c, mod) == 1]
+    need = db + 2  # fit points + at least one held-out
+    if primes is None:
+        by_class = {c: _primes_in_class(c, mod, need, floor) for c in classes}
+    else:
+        by_class = {c: [] for c in classes}
+        for q in sorted(set(int(q) for q in primes)):
+            if not is_prime(q):
+                raise PolynomialFitError(f"{q} is not prime")
+            if q <= 3:
+                raise PolynomialFitError(f"sample primes must exceed 3 (got {q})")
+            if q < floor:
+                raise PolynomialFitError(
+                    f"sample primes for {part} must be at least its fit floor "
+                    f"{floor}, above the largest part and >= n-1 (got {q})"
+                )
+            by_class.setdefault(q % mod, []).append(q)
+        for c in classes:
+            if len(by_class[c]) < need:
+                raise PolynomialFitError(
+                    f"class {c} mod {mod}: {len(by_class[c])} primes supplied, "
+                    f"need {need} (degree bound {db} plus a held-out prime)"
+                )
+    return StratifiedPolynomial(part, mod, {c: _fit(part, mod, db, c, by_class[c])
+                                            for c in classes})
+
+
+def _fit(part: PartitionType, mod: int, db: int, c: int, primes: list) -> RationalPolynomial:
+    """The interpolant of T at the first db+1 of ``primes`` (class c mod
+    ``mod``), checked against T at every remaining one."""
+    points = [(q, count_types_rank2(part, q).T) for q in primes]
+    poly = interpolate(points[: db + 1])
+    for q, value in points[db + 1:]:
+        if poly(q) != value:
+            raise PolynomialFitError(
+                f"{part} not polynomial at modulus {mod}, degree {db}: "
+                f"class {c} held-out prime {q} gives {value}, "
+                f"interpolant gives {poly(q)}"
+            )
+    return poly
+
+
+def interpolate(points) -> RationalPolynomial:
+    """Lagrange interpolation through exact points (x, y).
+
+    Returns the unique polynomial of degree < len(points); raises if two
+    abscissae coincide.  The work is done in integers: x and y are scaled by
+    the lcm of their denominators, every Lagrange numerator is
+    F(t) / (t - X_i) for the one product F(t) = prod_j (t - X_j), and the
+    terms are summed over the common denominator L = lcm_i |d_i|, where
+    d_i = prod_{j != i} (X_i - X_j).  Each coefficient is divided once, at
+    the end: O(n^2) integer operations for n points.
+    """
+    from fractions import Fraction
+
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate abscissa in interpolation input")
+    dx = math.lcm(*(x.denominator for x in xs))
+    dy = math.lcm(*(y.denominator for y in ys))
+    X = [x.numerator * (dx // x.denominator) for x in xs]
+    Y = [y.numerator * (dy // y.denominator) for y in ys]
+    F = [1]  # coefficients of prod_j (t - X_j), index = degree
+    for xj in X:
+        F = [0] + F
+        for k in range(len(F) - 1):
+            F[k] -= xj * F[k + 1]
+    d = [math.prod(xi - xj for xj in X if xj != xi) for xi in X]
+    L = math.lcm(*d)
+    n = len(X)
+    acc = [0] * n
+    for xi, yi, di in zip(X, Y, d):
+        scale = yi * (L // di)
+        q = F[n]  # synthetic division of F by (t - xi), highest degree first
+        for k in range(n - 1, -1, -1):
+            acc[k] += scale * q
+            q = F[k] + xi * q
+    # sum_k acc_k t^k / L interpolates (X_i, Y_i); substitute t = dx * x, divide by dy
+    return RationalPolynomial(tuple(Fraction(a * dx**k, L * dy) for k, a in enumerate(acc)))

@@ -1,14 +1,15 @@
 """Exact integer and rational arithmetic helpers.
 
 Everything in this module is exact: integers are arbitrary precision and
-rationals are ``fractions.Fraction``.  Interpolation, evaluation and
-rendering run in integers over one common denominator; interpolation makes
-a ``Fraction`` only for each final coefficient.  No floating point
-anywhere.
+rationals are ``fractions.Fraction``.  ``RationalPolynomial`` computes,
+evaluates and renders in integer numerators over one common denominator,
+making a ``Fraction`` only for a value or a coefficient it hands out.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -117,7 +118,8 @@ def _strong_probable_prime(n: int) -> bool:
 
 
 def exact_div(a: int, b: int) -> int:
-    """Integer division that must be exact; inexactness is an internal bug."""
+    """Division of ints, or of ``RationalPolynomial``s, that must be exact;
+    inexactness is an internal bug."""
     q, r = divmod(a, b)
     if r:
         raise ArithmeticError(f"inexact division: {a} / {b}")
@@ -125,98 +127,138 @@ def exact_div(a: int, b: int) -> int:
 
 
 class RationalPolynomial:
-    """Dense univariate polynomial, exact rational coefficients, index = degree."""
+    """Dense univariate polynomial with exact rational coefficients, kept as
+    integer numerators ``nums`` (index = degree) over one common denominator
+    ``den > 0``, in lowest terms.  It is a ring (+, -, *, with ints as
+    constants) with ``divmod`` by long division and a truth value, so
+    ``exact_div`` divides polynomials as it divides ints."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs):
         from fractions import Fraction
 
-        cs = tuple(Fraction(c) for c in coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        self.coeffs = cs
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self.nums, self.den = _lowest([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _of(cls, nums, den: int = 1) -> RationalPolynomial:
+        """sum_k nums[k] x^k / den, for integer nums and a nonzero integer den."""
+        poly = object.__new__(cls)
+        poly.nums, poly.den = _lowest(list(nums), den)
+        return poly
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ``Fraction``s, index = degree."""
+        from fractions import Fraction
+
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"RationalPolynomial(coeffs={self.coeffs!r})"
 
+    def __bool__(self):
+        return bool(self.nums)
+
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial conventionally at -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
-    def _over_lcm(self) -> tuple:
-        """(den, ints) with den the lcm of the coefficients' denominators and
-        ints[k] = coeffs[k] * den: the polynomial is sum_k ints[k] x^k / den."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+    def __add__(self, other):
+        if (other := _as_polynomial(other)) is None:
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return self._of([x * a + y * b for x, y in
+                         itertools.zip_longest(self.nums, other.nums, fillvalue=0)], den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._of([c * other for c in self.nums], self.den)
+        if (other := _as_polynomial(other)) is None:
+            return NotImplemented
+        out = [0] * max(0, len(self.nums) + len(other.nums) - 1)
+        for i, x in enumerate(self.nums):
+            for j, y in enumerate(other.nums):
+                out[i + j] += x * y
+        return self._of(out, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other):
+        """(q, r) with self = q * other + r and deg r < deg other, by
+        pseudo-division of the numerators: lead^e * self.nums = q' *
+        other.nums + r' in integers, lead being other's leading numerator."""
+        if (other := _as_polynomial(other)) is None:
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        m, lead = other.degree, other.nums[-1]
+        e = max(0, len(self.nums) - m)
+        rem = [c * lead**e for c in self.nums]
+        quo = [0] * e
+        for i in reversed(range(e)):
+            q = quo[i] = rem[i + m] // lead
+            for j, c in enumerate(other.nums):
+                rem[i + j] -= q * c
+        scale = lead**e * self.den
+        return self._of([q * other.den for q in quo], scale), self._of(rem[:m], scale)
 
     def __call__(self, x) -> Fraction:
         """Horner's rule on the integer numerators, then one division by den."""
         from fractions import Fraction
 
-        den, ints = self._over_lcm()
         acc = 0
-        for c in reversed(ints):
+        for c in reversed(self.nums):
             acc = acc * x + c
-        return Fraction(acc, den)
+        return Fraction(acc, self.den)
 
     def pretty(self) -> str:
         """Render as an integer-coefficient polynomial in p over a common denominator."""
-        den, ints = self._over_lcm()
         text = ""
-        for power, c in reversed(list(enumerate(ints))):
+        for power, c in reversed(list(enumerate(self.nums))):
             if c:
                 body = (str(abs(c)) if power == 0 else ("" if abs(c) == 1 else f"{abs(c)}*")
                         + "p" + (f"^{power}" if power > 1 else ""))
                 text += (f" {'-' if c < 0 else '+'} " if text else "-" if c < 0 else "") + body
         text = text or "0"
-        return f"({text})/{den}" if den > 1 else text
+        return f"({text})/{self.den}" if self.den > 1 else text
 
 
-def interpolate(points) -> RationalPolynomial:
-    """Lagrange interpolation through exact points (x, y).
+def _lowest(nums: list, den: int) -> tuple:
+    """(nums, den) with trailing zeros dropped, divided by their common
+    gcd and signed so that den > 0."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if den == 1:
+        return tuple(nums), 1
+    g = math.gcd(den, *nums) * (1 if den > 0 else -1)
+    return tuple(c // g for c in nums), den // g
 
-    Returns the unique polynomial of degree < len(points); raises if two
-    abscissae coincide.  The work is done in integers: x and y are scaled by
-    the lcm of their denominators, every Lagrange numerator is
-    F(t) / (t - X_i) for the one product F(t) = prod_j (t - X_j), and the
-    terms are summed over the common denominator L = lcm_i |d_i|, where
-    d_i = prod_{j != i} (X_i - X_j).  Each coefficient is divided once, at
-    the end: O(n^2) integer operations for n points.
-    """
-    from fractions import Fraction
 
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissa in interpolation input")
-    dx = math.lcm(*(x.denominator for x in xs))
-    dy = math.lcm(*(y.denominator for y in ys))
-    X = [x.numerator * (dx // x.denominator) for x in xs]
-    Y = [y.numerator * (dy // y.denominator) for y in ys]
-    F = [1]  # coefficients of prod_j (t - X_j), index = degree
-    for xj in X:
-        F = [0] + F
-        for k in range(len(F) - 1):
-            F[k] -= xj * F[k + 1]
-    d = [math.prod(xi - xj for xj in X if xj != xi) for xi in X]
-    L = math.lcm(*d)
-    n = len(X)
-    acc = [0] * n
-    for xi, yi, di in zip(X, Y, d):
-        scale = yi * (L // di)
-        q = F[n]  # synthetic division of F by (t - xi), highest degree first
-        for k in range(n - 1, -1, -1):
-            acc[k] += scale * q
-            q = F[k] + xi * q
-    # sum_k acc_k t^k / L interpolates (X_i, Y_i); substitute t = dx * x, divide by dy
-    return RationalPolynomial(tuple(Fraction(a * dx**k, L * dy) for k, a in enumerate(acc)))
+def _as_polynomial(x):
+    """x as a RationalPolynomial (an int as a constant), else None."""
+    return x if isinstance(x, RationalPolynomial) else (
+        RationalPolynomial._of((x,)) if isinstance(x, int) else None)

@@ -1,21 +1,23 @@
-"""Exact polynomial reconstruction of the type-count tables.
+"""Exact polynomial tables of the rank-2 type counts.
 
 For a fixed rank-2 partition and every prime p above its largest part (and
 at least n-1), T(p) is a polynomial in p on each residue class of p modulo
 2*gcd(parts): |A| and the marking multiplier are polynomials there, and the
 Burnside correction only asks which divisors of gcd(parts) divide p-1.  This
-module samples the counting formulas at such primes, interpolates exactly
-per class, and verifies every interpolant on held-out primes.
+module gets each class's polynomial by running the count core,
+``counting._count``, with p the polynomial variable, and checks every
+displayed sample at or above the floor against ``count_types_rank2``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
-from .counting import count_types_rank2
-from .exact import RationalPolynomial, interpolate, is_prime
+from .counting import _count, _unit_sign, count_types_rank2
+from .exact import RationalPolynomial, divisors_greater_than_one, exact_div, is_prime
 from .partitions import PartitionType, admissible_partitions
 
 
@@ -71,12 +73,6 @@ class StratifiedPolynomial(NamedTuple):
                          for poly, cs in groups.items())
 
 
-def default_degree_bound(partition: PartitionType) -> int:
-    """Degree of T(p): deg|A| = R-2, marking adds n-3 (when n > 3), the
-    scalar average removes 1."""
-    return partition.R - 3 + max(0, partition.n - 3)
-
-
 def default_modulus(partition: PartitionType) -> int:
     """Residue classes fine enough for any Burnside branch.  Above the fit
     floor only the correction branches: scalars of order d' contribute
@@ -99,73 +95,31 @@ def _primes_in_class(c: int, modulus: int, count: int, floor: int):
     return out
 
 
-def fit_partition_polynomial(partition, degree_bound=None, modulus=None, primes=None) -> StratifiedPolynomial:
-    """Fit T(p) for one rank-2 partition as exact polynomials per residue class.
-
-    Uses degree_bound+1 sample primes per class for the interpolation and
-    verifies the result on every remaining prime of that class (at least one
-    held-out prime is always present).  Every sample prime must be at least
-    ``fit_floor(partition)``.  When ``primes`` is None a sufficient pool is
-    generated automatically; an explicit list that leaves a unit class
-    short raises an error naming the class.
-    """
-    return _fit(partition, degree_bound, modulus, primes, {})
+@lru_cache(maxsize=None)  # immutable values; the rows of an R share most of them
+def _choose(shift: int, k: int, scale: int = 1) -> RationalPolynomial:
+    """binomial((p + shift)/scale, k) as a polynomial in p:
+    prod_{i<k} (p + shift - i*scale) / (scale^k k!)."""
+    top = math.prod(RationalPolynomial._of((shift - i * scale, 1)) for i in range(k))
+    return exact_div(top, scale**k * math.factorial(k))
 
 
-def _fit(partition, degree_bound, modulus, primes, values: dict) -> StratifiedPolynomial:
-    """``fit_partition_polynomial``, recording each T(q) it computes as
-    ``values[q]``."""
-    part = partition if isinstance(partition, PartitionType) else PartitionType(tuple(partition))
-    for name, value, least in (("degree_bound", degree_bound, 0), ("modulus", modulus, 1)):
-        if value is not None and int(value) < least:
-            raise PolynomialFitError(f"{name} must be at least {least} (got {value})")
-    db = default_degree_bound(part) if degree_bound is None else int(degree_bound)
-    mod = default_modulus(part) if modulus is None else int(modulus)
-    floor = fit_floor(part)
-    classes = [c for c in range(mod) if math.gcd(c, mod) == 1]
-    need = db + 2  # fit points + at least one held-out
-    if primes is None:
-        by_class = {c: _primes_in_class(c, mod, need, floor) for c in classes}
-    else:
-        by_class = {c: [] for c in classes}
-        for q in sorted(set(int(q) for q in primes)):
-            if not is_prime(q):
-                raise PolynomialFitError(f"{q} is not prime")
-            if q <= 3:
-                raise PolynomialFitError(f"sample primes must exceed 3 (got {q})")
-            if q < floor:
-                raise PolynomialFitError(
-                    f"sample primes for {part} must be at least its fit floor "
-                    f"{floor}, above the largest part and >= n-1 (got {q})"
-                )
-            by_class.setdefault(q % mod, []).append(q)
-        for c in classes:
-            if len(by_class[c]) < need:
-                raise PolynomialFitError(
-                    f"class {c} mod {mod}: {len(by_class[c])} primes supplied, "
-                    f"need {need} (degree bound {db} plus a held-out prime)"
-                )
-    branches = {}
-    for c in classes:
-        points = [(q, _count(part, q, values)) for q in by_class[c]]
-        fit_pts, holdout = points[: db + 1], points[db + 1 :]
-        poly = interpolate(fit_pts)
-        for q, value in holdout:
-            if poly(q) != value:
-                raise PolynomialFitError(
-                    f"{part} not polynomial at modulus {mod}, degree {db}: "
-                    f"class {c} held-out prime {q} gives {value}, "
-                    f"interpolant gives {poly(q)}"
-                )
-        branches[c] = poly
-    return StratifiedPolynomial(part, mod, branches)
-
-
-def _count(part: PartitionType, q: int, values: dict) -> int:
-    """T(q) for ``part``, computed once per ``values``."""
-    if q not in values:
-        values[q] = count_types_rank2(part, q).T
-    return values[q]
+def _branches(part: PartitionType, mod: int) -> dict:
+    """Residue class c -> T(p) for p = c mod ``mod`` (``default_modulus``)
+    at or above the fit floor, one per unit class: ``counting._count`` with
+    p the polynomial variable, reading b_P = binomial(p+P-2, P), the fixed
+    sign s_P of P < p, the marking binomial(p-2, n-3) and the Burnside
+    factors multichoose(P/d', (p-1)/d') of each d' > 1 dividing gcd(c-1,
+    gcd(parts)), the d' that divide p-1 in class c."""
+    floor, parts = fit_floor(part), set(part.parts)
+    signed = {P: (_choose(P - 2, P), _unit_sign(P, floor)) for P in parts}
+    marks = {part.n: _choose(-2, max(0, part.n - 3))}
+    p, out = RationalPolynomial._of((0, 1)), {}
+    for c in range(mod):
+        if math.gcd(c, mod) == 1:
+            orders = divisors_greater_than_one(math.gcd(c - 1, *parts))
+            burnside = {P: {d: _choose(P - 1 - d, P // d, d) for d in orders} for P in parts}
+            out[c] = _count(part, p, (signed, burnside, marks)).T
+    return out
 
 
 def table_rows(R: int) -> list:
@@ -182,23 +136,23 @@ class TableRow(NamedTuple):
 
 
 def build_table(R: int, primes=None) -> list:
-    """Fit every row of the R-section from the automatic prime pool.
-    ``primes`` selects the sample values displayed (each distinct supplied
-    prime with p >= n-1; else the first four primes p >= n-1), and every
-    sample at or above the row's fit floor must agree with the fit: a
-    mismatch raises ``PolynomialFitError`` naming the row and the prime.  A
-    supplied value that is not an odd prime raises ``PolynomialFitError``
-    naming it, whether or not a row shows it."""
+    """Every row of the R-section, each with one polynomial per unit class
+    mod ``default_modulus``.  ``primes`` selects the sample values displayed
+    (each distinct supplied prime with p >= n-1; else the first four primes
+    p >= max(5, n-1)), and every sample at or above the row's fit floor must
+    agree with its branch: a mismatch raises ``PolynomialFitError`` naming
+    the row and the prime.  A supplied value that is not an odd prime
+    raises ``PolynomialFitError`` naming it, whether or not a row shows it."""
     supplied = sorted(set(primes or ()))
     for q in supplied:
         if q == 2 or not is_prime(q):
             raise PolynomialFitError(f"supplied value {q} is not an odd prime")
     rows = []
     for part in table_rows(R):
-        values = {}  # T(q) by q, from the fit's pool first
-        fit = _fit(part, None, None, None, values)
+        mod = default_modulus(part)
+        fit = StratifiedPolynomial(part, mod, _branches(part, mod))
         shown = [q for q in supplied if q >= part.n - 1]
-        samples = tuple((q, _count(part, q, values))
+        samples = tuple((q, count_types_rank2(part, q).T)
                         for q in shown or _primes_in_class(0, 1, 4, part.n - 1))
         for q, t in samples:
             if q >= fit.min_prime and fit(q) != t:

@@ -27,7 +27,9 @@ from topotype.crosscheck import (
     card_A_shortcut,
     card_A_unitary,
     count_types_klein,
+    default_degree_bound,
     distribution_bruteforce,
+    fit_partition_polynomial,
     full_distribution,
     gaussian_binomial,
     klein_type_count,
@@ -35,11 +37,7 @@ from topotype.crosscheck import (
 from topotype.exact import binomial
 from topotype.oracle import count_orbits
 from topotype.partitions import PartitionType, admissible_partitions
-from topotype.tables import (
-    PolynomialFitError,
-    default_degree_bound,
-    fit_partition_polynomial,
-)
+from topotype.tables import PolynomialFitError
 
 TABLE_PRIMES = (5, 7, 11, 13)
 

@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topotype import exact
-from topotype.crosscheck import gaussian_binomial
+from topotype.crosscheck import gaussian_binomial, interpolate
 from topotype.exact import (
     RationalPolynomial,
     binomial,
     divisors_greater_than_one,
     euler_phi,
     exact_div,
-    interpolate,
     is_prime,
     multichoose,
 )
@@ -238,6 +237,52 @@ def test_polynomial_value_is_the_sum_of_its_terms(coeffs, x):
     value = RationalPolynomial(coeffs)(x)
     assert isinstance(value, Fraction)
     assert value == sum(Fraction(c) * Fraction(x) ** k for k, c in enumerate(coeffs))
+
+
+_polynomial = st.lists(_ordinate, max_size=6).map(RationalPolynomial)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomial, _polynomial, st.integers(-5, 5), _abscissa)
+def test_polynomial_ring_operations_agree_with_values(a, b, n, x):
+    # +, -, * (with ints as constants) are the ring operations: each result
+    # takes the value the operation gives on the values, at any x
+    for got, want in ((a + b, a(x) + b(x)), (a - b, a(x) - b(x)), (a * b, a(x) * b(x)),
+                      (-a, -a(x)), (a + n, a(x) + n), (n - a, n - a(x)), (n * a, n * a(x))):
+        assert got(x) == want
+    assert a * b == b * a and a + b == b + a
+    assert bool(a) == bool(a.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomial, _polynomial)
+def test_polynomial_divmod_is_long_division(a, b):
+    # a = q*b + r with deg r < deg b, matching long division in Fractions;
+    # a product divides exactly, so exact_div recovers its factor
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+        return
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+    assert exact_div(a * b, b) == a
+    if r:
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            exact_div(a, b)
+
+
+def test_polynomial_keeps_lowest_terms_and_fraction_coefficients():
+    # one form per polynomial: equal values compare and hash equal however
+    # they were built, and coeffs are Fractions in lowest terms
+    half_p = RationalPolynomial((0, Fraction(1, 2)))
+    built = exact_div(RationalPolynomial((0, 3)) * 2, 12)
+    assert built == half_p and hash(built) == hash(half_p)
+    assert built.coeffs == (0, Fraction(1, 2)) and all(type(c) is Fraction for c in built.coeffs)
+    assert (built.nums, built.den) == ((0, 1), 2)
+    assert RationalPolynomial((1, 2, 0, 0)) - RationalPolynomial((1, 2)) == RationalPolynomial(())
+    assert divmod(RationalPolynomial((0, 0, 1)), RationalPolynomial((-1, 2))) == (
+        RationalPolynomial((Fraction(1, 4), Fraction(1, 2))), RationalPolynomial((Fraction(1, 4),)))
 
 
 @pytest.mark.parametrize("n", [

@@ -543,15 +543,16 @@ CHUNK_CASES = ([(3, 2, R) for R in range(3, 10)] + [(5, 2, R) for R in range(3, 
 def test_chunk_size_does_not_change_answers(chunk, p, k, R):
     # canonicalize every generating set, read lazily in chunks of `chunk`,
     # and de-duplicate within and across chunks: the orderly enumeration
-    # must keep exactly these minima, and the chunked reads must see every
-    # set once, in the order a single read sees them
+    # must keep exactly these minima, and the chunks must hold every set
+    # once, in order (the literal population is listed in strictly
+    # increasing lexicographic order)
     table = count_orbits(p, k, R)
-    sets, minima, sizes = iter(enumerate_generating_sets(p, k, R)), set(), []
+    sets, minima, seen = iter(enumerate_generating_sets(p, k, R)), set(), []
     while block := list(itertools.islice(sets, chunk)):
-        sizes.append(len(block))
+        assert len(block) <= chunk
+        seen += block
         minima |= {canonical_form(cols, p, k) for cols in block}
-    assert max(sizes) <= chunk
-    assert sum(sizes) == sum(1 for _ in enumerate_generating_sets(p, k, R))
+    assert all(a < b for a, b in zip(seen, seen[1:]))
     assert table.representatives == tuple(sorted(minima))
     assert table.by_partition == Counter(classify_partition(cols, p, k) for cols in minima)
     assert table.total == len(minima)

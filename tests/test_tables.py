@@ -13,22 +13,22 @@ from hypothesis import strategies as st
 
 from topotype.cli import main
 from topotype.counting import count_types_rank2
+from topotype.crosscheck import default_degree_bound, fit_partition_polynomial
 from topotype.exact import is_prime
 from topotype.partitions import PartitionType
 from topotype.tables import (
     PolynomialFitError,
     build_table,
-    default_degree_bound,
     default_modulus,
     fit_floor,
-    fit_partition_polynomial,
     table_rows,
 )
 
 
 @lru_cache(maxsize=None)
-def _fit(part):
-    return fit_partition_polynomial(part)
+def _table_fits(R):
+    """{partition: fit} of the R-section's rows, as ``build_table`` makes them."""
+    return {row.partition: row.fit for row in build_table(R)}
 
 
 def table_stdout(R, fmt="plain"):
@@ -203,8 +203,8 @@ def test_build_table_checks_supplied_primes_against_the_fit(monkeypatch):
 
 
 def test_build_table_extends_fit_pool_when_needed():
-    # six primes cannot pin down the degree-6 row; the fit pool grows
-    # automatically while the displayed samples stay as supplied
+    # six displayed primes, too few to fit the degree-6 row with a held-out
+    # check: its branches do not depend on them, and they stay as supplied
     rows = build_table(6, primes=[5, 7, 11, 13, 17, 19])
     last = rows[-1]
     assert last.partition == PartitionType((1,) * 6)
@@ -214,7 +214,7 @@ def test_build_table_extends_fit_pool_when_needed():
 
 def test_build_table_fits_only_above_floor():
     # 5 and 7 lie at or below the largest part of some rows: they are shown
-    # as samples wherever n <= p + 1 but never used to fit those rows
+    # as samples wherever n <= p + 1 and leave those rows' branches as they are
     primes = [5, 7, 11, 13, 17, 19]
     rows = build_table(9, primes=primes)
     auto = build_table(9)
@@ -234,8 +234,7 @@ def test_build_table_without_usable_primes_still_fits():
 
 @pytest.mark.parametrize("R", range(3, 11))
 def test_fits_equal_closed_form_above_floor(R):
-    for part in table_rows(R):
-        fit = _fit(part)
+    for part, fit in _table_fits(R).items():
         assert fit.modulus == 2 * math.gcd(*part.parts)
         for q in range(fit.min_prime, 301):
             if is_prime(q):
@@ -247,7 +246,7 @@ def test_fits_equal_closed_form_above_floor(R):
 def test_fits_reproduce_counts_at_random_large_primes(data):
     R = data.draw(st.integers(3, 10))
     part = data.draw(st.sampled_from(table_rows(R)))
-    fit = _fit(part)
+    fit = _table_fits(R)[part]
     q = data.draw(st.integers(fit.min_prime, 10**4))
     while not is_prime(q):
         q += 1
@@ -349,8 +348,9 @@ def test_render_table_bytes_are_pinned(R):
 
 
 def test_table_counts_each_sample_once(monkeypatch):
-    # a displayed sample the row's fit has already computed is reused: 296
-    # distinct (partition, p) on table --R 9, each computed once
+    # the branches come from the count core run over Q[p], so the only
+    # direct counts are the displayed samples: 28 rows x 4 primes on
+    # table --R 9, each computed once
     import topotype.tables as tables
 
     calls = []
@@ -361,15 +361,23 @@ def test_table_counts_each_sample_once(monkeypatch):
 
     monkeypatch.setattr(tables, "count_types_rank2", counted)
     assert hashlib.sha256(table_stdout(9).encode()).hexdigest() == TABLE_DIGESTS[9]["plain"]
-    assert len(calls) == len(set(calls)) == 296
+    assert len(calls) == len(set(calls)) == 112
 
 
 def test_fits_reach_R14_and_hold_above_ten_thousand():
-    # fresh fits (each with its held-out checks) for every row of R = 11..14
+    # the branches of every row of R = 11..14, far above their samples
     far = (10007, 10009, 10037)
     assert all(is_prime(q) for q in far)
     for R in range(11, 15):
-        for part in table_rows(R):
-            fit = fit_partition_polynomial(part)
+        for part, fit in _table_fits(R).items():
             for q in far:
                 assert fit(q) == count_types_rank2(part, q).T, (part, q)
+
+
+@pytest.mark.parametrize("R", range(3, 13))
+def test_branches_equal_the_sampled_reference_fit(R):
+    # the count core run over Q[p] and interpolation of sampled counts
+    # (verified on held-out primes) give the same polynomial on every class
+    for part, fit in _table_fits(R).items():
+        reference = fit_partition_polynomial(part)
+        assert (fit.modulus, fit.branches) == (reference.modulus, reference.branches), part
