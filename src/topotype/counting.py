@@ -12,7 +12,8 @@ lines is the kernel of p-1 characters, under which the part on that line
 contributes b and every other part the signed weight s.  The final count T
 applies a Burnside average over the scalar group F_p^* (with correction
 terms for scalars of each order d' > 1 dividing every part) and the marking
-multiplier binomial(p-2, n-3).
+multiplier binomial(p-2, n-3).  ``_values`` builds every one of these inputs
+of the core, ``_count``, for p a prime or the variable of Q[p] (``tables``).
 
 One formula serves every prime and both ranks, over the partition types
 that ``partitions.admissible_partitions`` lists.  Rank 1 has one cyclic
@@ -67,22 +68,20 @@ def _unit_sign(P: int, p: int) -> int:
     return 1 if r == 0 else -1 if r == 1 else 0
 
 
-def _signed(p: int, parts) -> dict:
-    """P -> (b_P, s_P) for each distinct part P, with b_P = binomial(P+p-2,
-    P) and s_P as in ``_unit_sign``: all that |A| reads."""
-    return {P: (binomial(P + p - 2, P), _unit_sign(P, p)) for P in set(parts)}
-
-
-def _values(p: int, parts, ns, k: int = 2) -> tuple:
-    """The values one call shares across its partitions, computed once per
-    distinct part P and once per number of parts n: ``_signed``'s P -> (b_P,
-    s_P); P -> {d': multichoose(P/d', (p-1)/d')} for each d' > 1 dividing P
-    and p-1, the Burnside factors, keyed by d' ascending; and n ->
-    marking_count(p, n, k) for rank k."""
-    burnside = {P: {dp: multichoose(P // dp, (p - 1) // dp)
-                    for dp in divisors_greater_than_one(math.gcd(p - 1, P))}
-                for P in set(parts)}
-    return _signed(p, parts), burnside, {n: marking_count(p, n, k) for n in ns}
+def _values(p, parts, ns, k: int, unit: int) -> tuple:
+    """Every input ``_count`` reads, once per distinct part P and per part
+    count n, for p an int or the variable of ``RationalPolynomial``s:
+    P -> (b_P, s_P); P -> {d': multichoose(P/d', (p-1)/d')}, the Burnside
+    factors of each d' > 1 dividing P and p-1, d' ascending; and n ->
+    marking_count(p, n, k).  The int ``unit`` is p, or for ``tables`` the
+    least integer in p's residue class at or above the fit floor: s_P =
+    ``_unit_sign(P, unit)``, and the d' are those dividing unit-1."""
+    distinct = set(parts)
+    signed = {P: (binomial(p + (P - 2), P), _unit_sign(P, unit)) for P in distinct}
+    burnside = {P: {dp: multichoose(P // dp, exact_div(p - 1, dp))
+                    for dp in divisors_greater_than_one(math.gcd(unit - 1, P))}
+                for P in distinct} if ns else {}  # no n: |A| alone (``card_A``)
+    return signed, burnside, {n: marking_count(p, n, k) for n in ns}
 
 
 def card_A(partition, p: int) -> int:
@@ -101,7 +100,7 @@ def card_A(partition, p: int) -> int:
     check_part_count(len(parts), p)
     if min(parts) < 0:
         raise ValueError("part must be nonnegative")
-    return _card_A(parts, _signed(p, parts), p)
+    return _card_A(parts, _values(p, parts, (), 2, p)[0], p)
 
 
 def _card_A(parts: tuple, signed: dict, p: int) -> int:
@@ -134,7 +133,7 @@ def count_types_rank2(partition, p: int) -> CountReport:
     check_prime(p)
     part = partition if isinstance(partition, PartitionType) else PartitionType(_as_parts(partition))
     check_part_count(part.n, p)
-    return _count(part, p, _values(p, part.parts, (part.n,)))
+    return _count(part, p, _values(p, part.parts, (part.n,), 2, p))
 
 
 def _count(part: PartitionType, p: int, values: tuple) -> CountReport:
@@ -162,6 +161,6 @@ def total_types(p: int, k: int, R: int) -> TotalReport:
     ``admissible_partitions`` checks (p, k, R)."""
     partitions = admissible_partitions(p, k, R)
     values = _values(p, set().union(*(part.parts for part in partitions)),
-                     {part.n for part in partitions}, k)
+                     {part.n for part in partitions}, k, p)
     reports = tuple(_count(part, p, values) for part in partitions)
     return TotalReport(p, k, R, reports, sum(r.T for r in reports))

@@ -3,30 +3,42 @@
 Everything in this module is exact: integers are arbitrary precision and
 rationals are ``fractions.Fraction``.  ``RationalPolynomial`` computes,
 evaluates and renders in integer numerators over one common denominator,
-making a ``Fraction`` only for a value or a coefficient it hands out.  No
-floating point anywhere.
+making a ``Fraction`` only for a value or a coefficient it hands out.
+``binomial`` and ``multichoose`` take the top argument as an int or as a
+``RationalPolynomial``, so one expression gives a count at a prime and as a
+polynomial in p.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 
-def binomial(n: int, k: int) -> int:
+def binomial(n, k: int):
     """Binomial coefficient with the 0-for-out-of-range convention.
 
     Returns 0 when k < 0 or k > n, so degenerate cases of the counting
-    formulas can be written uniformly.
+    formulas can be written uniformly.  For n a ``RationalPolynomial`` it is
+    the polynomial n(n-1)...(n-k+1)/k! (0 for k < 0).
     """
+    if isinstance(n, RationalPolynomial):
+        return _falling_over_factorial(n, k) if k >= 0 else 0
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
 
 
-def multichoose(N: int, M: int) -> int:
-    """Number of N-element multisets drawn from an M-element set."""
-    return binomial(N + M - 1, N)
+@functools.lru_cache(maxsize=None)  # immutable values; a table's rows and classes share most
+def _falling_over_factorial(n: RationalPolynomial, k: int) -> RationalPolynomial:
+    return exact_div(math.prod(n - i for i in range(k)), math.factorial(k))
+
+
+def multichoose(N: int, M):
+    """Number of N-element multisets drawn from an M-element set (M an int
+    or a ``RationalPolynomial``)."""
+    return binomial(M + (N - 1), N)
 
 
 def euler_phi(d: int) -> int:
@@ -176,6 +188,9 @@ class RationalPolynomial:
         return len(self.nums) - 1
 
     def __add__(self, other):
+        if isinstance(other, int):  # shifts the constant numerator; stays in lowest terms
+            return self._of([self.nums[0] + other * self.den if self.nums else other,
+                             *self.nums[1:]], self.den)
         if (other := _as_polynomial(other)) is None:
             return NotImplemented
         den = math.lcm(self.den, other.den)
@@ -211,6 +226,8 @@ class RationalPolynomial:
         """(q, r) with self = q * other + r and deg r < deg other, by
         pseudo-division of the numerators: lead^e * self.nums = q' *
         other.nums + r' in integers, lead being other's leading numerator."""
+        if isinstance(other, int) and other:  # exact: scales the denominator
+            return self._of(self.nums, self.den * other), 0
         if (other := _as_polynomial(other)) is None:
             return NotImplemented
         if not other:
@@ -255,7 +272,7 @@ def _lowest(nums: list, den: int) -> tuple:
     if den == 1:
         return tuple(nums), 1
     g = math.gcd(den, *nums) * (1 if den > 0 else -1)
-    return tuple(c // g for c in nums), den // g
+    return (tuple(nums), den) if g == 1 else (tuple(c // g for c in nums), den // g)
 
 
 def _as_polynomial(x):

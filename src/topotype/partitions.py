@@ -154,13 +154,40 @@ def _partitions_into(total: int, n: int, max_part: int, memo: dict) -> list:
     return memo[key]
 
 
+# The most types ``admissible_partitions`` lists: every one is held before
+# any is counted.  The oracle's DEFAULT_MULTISET_LIMIT budget; it admits
+# every R <= 76 at any p (p(76) = 9,289,091 partitions) and, from p = 31
+# on, no R >= 77 (p(77) = 10,619,863).
+TYPE_LIMIT = 10**7
+
+
+def check_type_count(p: int, k: int, R: int) -> None:
+    """Raise ValueError, naming the count and the bound, when (p, k, R) has
+    more than ``TYPE_LIMIT`` admissible types.  Rank 1 has one.  Rank 2 has
+    the partitions of R into at most p+1 parts but {R} and {R-1, 1}: at
+    least the round(R^2/12) with 3 parts, and a DP over the largest allowed
+    part (conjugation) counts the rest, stopping once past the bound."""
+    count = 1 if k == 1 else (R * R + 6) // 12
+    if k == 2 and count <= TYPE_LIMIT:
+        ways = [1] + [0] * R  # partitions of each total into parts <= j
+        for j in range(1, min(p + 1, R) + 1):
+            for total in range(j, R + 1):
+                ways[total] += ways[total - j]
+            if (count := ways[R] - 2) > TYPE_LIMIT:
+                break
+    if count > TYPE_LIMIT:
+        raise ValueError(f"(p={p}, k={k}, R={R}) has at least {count} admissible types, "
+                         f"more than the {TYPE_LIMIT} that can be listed")
+
+
 def admissible_partitions(p: int, k: int, R: int) -> list[PartitionType]:
     """All admissible partition types for (p, k, R), deterministic order:
     the partitions of R that ``check_admissible`` accepts.  For k = 1 the
     one subgroup gives the single type {R}.  Ordered by part count, then
-    ascending lexicographically.
+    ascending lexicographically.  ``check_type_count`` bounds how many.
     """
     ActionParams(p, k, R)
+    check_type_count(p, k, R)
     n_max = (p**k - 1) // (p - 1)
     out, memo = [], {}
     for n in range(k, min(n_max, R) + 1):
@@ -183,14 +210,15 @@ def check_admissible(partition: PartitionType, p: int, k: int) -> None:
         )
 
 
-def marking_count(p: int, n: int, k: int = 2) -> int:
+def marking_count(p, n: int, k: int = 2):
     """Number of ways to mark the n parts of a rank-k type with distinct
     cyclic subgroups, after normalizing three of them: binomial(p-2, n-3),
-    taken as 1 for n <= 3 so all part counts share one code path."""
-    check_part_count(n, p, k)
-    if n <= 3:
-        return 1
-    return binomial(p - 2, n - 3)
+    taken as 1 for n <= 3 so all part counts share one code path.  An int p
+    is checked with n first; ``counting._values`` also runs it with p the
+    variable of a ``RationalPolynomial``, unchecked."""
+    if isinstance(p, int):
+        check_part_count(n, p, k)
+    return binomial(p - 2, max(0, n - 3))
 
 
 def partition_tokens(text: str) -> list:

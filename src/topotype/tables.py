@@ -5,19 +5,19 @@ at least n-1), T(p) is a polynomial in p on each residue class of p modulo
 2*gcd(parts): |A| and the marking multiplier are polynomials there, and the
 Burnside correction only asks which divisors of gcd(parts) divide p-1.  This
 module gets each class's polynomial by running the count core,
-``counting._count``, with p the polynomial variable, and checks every
-displayed sample at or above the floor against ``count_types_rank2``.
+``counting._count``, on the inputs ``counting._values`` builds over Q[p],
+and checks every displayed sample at or above the floor against
+``count_types_rank2``; it derives no count input itself.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
-from .counting import _count, _unit_sign, count_types_rank2
-from .exact import RationalPolynomial, divisors_greater_than_one, exact_div, is_prime
+from .counting import _count, _values, count_types_rank2
+from .exact import RationalPolynomial, is_prime
 from .partitions import PartitionType, admissible_partitions
 
 
@@ -95,31 +95,14 @@ def _primes_in_class(c: int, modulus: int, count: int, floor: int):
     return out
 
 
-@lru_cache(maxsize=None)  # immutable values; the rows of an R share most of them
-def _choose(shift: int, k: int, scale: int = 1) -> RationalPolynomial:
-    """binomial((p + shift)/scale, k) as a polynomial in p:
-    prod_{i<k} (p + shift - i*scale) / (scale^k k!)."""
-    top = math.prod(RationalPolynomial._of((shift - i * scale, 1)) for i in range(k))
-    return exact_div(top, scale**k * math.factorial(k))
-
-
 def _branches(part: PartitionType, mod: int) -> dict:
     """Residue class c -> T(p) for p = c mod ``mod`` (``default_modulus``)
-    at or above the fit floor, one per unit class: ``counting._count`` with
-    p the polynomial variable, reading b_P = binomial(p+P-2, P), the fixed
-    sign s_P of P < p, the marking binomial(p-2, n-3) and the Burnside
-    factors multichoose(P/d', (p-1)/d') of each d' > 1 dividing gcd(c-1,
-    gcd(parts)), the d' that divide p-1 in class c."""
-    floor, parts = fit_floor(part), set(part.parts)
-    signed = {P: (_choose(P - 2, P), _unit_sign(P, floor)) for P in parts}
-    marks = {part.n: _choose(-2, max(0, part.n - 3))}
-    p, out = RationalPolynomial._of((0, 1)), {}
-    for c in range(mod):
-        if math.gcd(c, mod) == 1:
-            orders = divisors_greater_than_one(math.gcd(c - 1, *parts))
-            burnside = {P: {d: _choose(P - 1 - d, P // d, d) for d in orders} for P in parts}
-            out[c] = _count(part, p, (signed, burnside, marks)).T
-    return out
+    at or above the fit floor, one per unit class: ``counting._count`` over
+    Q[p], its inputs from ``counting._values`` at the least integer at or
+    above the floor in class c."""
+    floor, p = fit_floor(part), RationalPolynomial._of((0, 1))
+    return {c: _count(part, p, _values(p, part.parts, (part.n,), 2, floor + (c - floor) % mod)).T
+            for c in range(mod) if math.gcd(c, mod) == 1}
 
 
 def table_rows(R: int) -> list:

@@ -479,3 +479,13 @@ def test_count_names_the_primality_bound(capsys):
     assert (code, out) == (2, "")
     assert "cannot decide whether 3317044064679887385962123 is prime" in err
     assert err.endswith("exact only below 3317044064679887385961981\n")
+
+
+@pytest.mark.parametrize("argv", [("total", "--p", "5", "--k", "2", "--R", "100000"),
+                                  ("count", "--p", "2", "--k", "2", "--R", "100000")])
+def test_too_many_types_is_refused_before_listing(capsys, argv):
+    # the types are counted, not listed, before the bound refuses them
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "has at least 833333333 admissible types" in err
+    assert "more than the 10000000 that can be listed" in err

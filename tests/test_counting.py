@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from topotype import crosscheck, exact
 from topotype.counting import (
+    _values,
     card_A,
     count_types_rank1,
     count_types_rank2,
@@ -23,6 +25,7 @@ from topotype.crosscheck import (
     part_wz,
 )
 from topotype.partitions import PartitionType, admissible_partitions
+from topotype.tables import default_modulus, fit_floor
 
 
 def test_card_A_base2():
@@ -390,3 +393,34 @@ def test_a_part_that_is_not_an_integer_is_named(call, bad):
     # int() truncation once counted (2.9, 1.5, 1.2) as {2,1,1}
     with pytest.raises(ValueError, match=f"part {bad} is not an integer"):
         call()
+
+
+def _evaluated(values, q):
+    """``_values``' three maps with every polynomial evaluated at q (an int
+    constant, such as a marking of 1 for n <= 3, stays as it is)."""
+    def at(v):
+        return v(q) if isinstance(v, exact.RationalPolynomial) else v
+
+    signed, burnside, marks = values
+    return ({P: (at(b), s) for P, (b, s) in signed.items()},
+            {P: {d: at(f) for d, f in fs.items()} for P, fs in burnside.items()},
+            {n: at(m) for n, m in marks.items()})
+
+
+def test_values_over_polynomials_match_values_at_primes():
+    # one builder: the inputs _values gives the table over Q[p], read at the
+    # least integer of a class at or above the fit floor, evaluate at the
+    # first two primes of that class to the inputs it gives at those primes
+    x = exact.RationalPolynomial._of((0, 1))
+    for P in range(1, 15):
+        for n in range(2, 15):
+            part = PartitionType((P,) * n)
+            mod, floor = default_modulus(part), fit_floor(part)
+            for c in range(mod):
+                if math.gcd(c, mod) != 1:
+                    continue
+                symbolic = _values(x, (P,), (n,), 2, floor + (c - floor) % mod)
+                primes = [q for q in range(floor + (c - floor) % mod, 10**4, mod)
+                          if exact.is_prime(q)][:2]
+                for q in primes:
+                    assert _evaluated(symbolic, q) == _values(q, (P,), (n,), 2, q), (P, n, c, q)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,22 @@ def test_binomial_values():
         assert binomial(n, 0) == 1
     assert binomial(4, 7) == 0
     assert binomial(4, -1) == 0
+
+
+def test_binomial_over_polynomials_matches_comb():
+    # binomial(x + s, k) over Q[p] is (x+s)(x+s-1)...(x+s-k+1)/k! (the int 1
+    # for k = 0): at 20 integer points with x + s >= 0 it is math.comb, and
+    # k < 0 gives 0
+    x = RationalPolynomial._of((0, 1))
+    for s in range(-4, 5):
+        assert binomial(x + s, 0) == 1
+        for k in range(1, 9):
+            poly = binomial(x + s, k)
+            assert poly.degree == k
+            for at in range(max(0, -s), max(0, -s) + 20):
+                assert poly(at) == math.comb(at + s, k), (s, k, at)
+        assert binomial(x + s, -1) == 0
+    assert multichoose(3, x - 1)(9) == multichoose(3, 8)
 
 
 def test_multichoose_values():

@@ -10,6 +10,7 @@ from topotype.partitions import (
     admissible_partitions,
     check_admissible,
     check_part_count,
+    check_type_count,
     genus_of,
     marking_count,
     parse_partition,
@@ -305,3 +306,28 @@ def test_partition_tokens_count_the_parts_before_expanding_them():
     assert partition_tokens("2^99999999999") == [(2, 99999999999)]
     with pytest.raises(ValueError, match="exponent must be positive"):
         partition_tokens("2^0")
+
+
+def test_type_count_bound_admits_R_76_and_refuses_R_77():
+    # p(76) = 9,289,091 partitions fit under the 10^7 bound at any p;
+    # p(77) = 10,619,863 does not, less {77} and {76, 1}
+    assert partitions.TYPE_LIMIT == 10**7
+    for p in (1000003, 10**18 + 9):
+        check_type_count(p, 2, 76)
+        with pytest.raises(ValueError, match=r"R=77\) has at least \d+ admissible types, "
+                                             r"more than the 10000000"):
+            check_type_count(p, 2, 77)
+    check_type_count(1000003, 1, 10**9)  # rank 1 has the one type {R}
+    check_type_count(2, 2, 10000)  # at most 3 parts: 8,338,332 types
+
+
+def test_type_count_is_exact_below_the_bound(monkeypatch):
+    # a bound of exactly len(admissible_partitions) admits, one less refuses
+    counts = {(p, R): len(admissible_partitions(p, 2, R))
+              for p in (2, 3, 5, 7, 13, 1000003) for R in range(3, 26)}
+    for (p, R), count in counts.items():
+        monkeypatch.setattr(partitions, "TYPE_LIMIT", count)
+        check_type_count(p, 2, R)
+        monkeypatch.setattr(partitions, "TYPE_LIMIT", count - 1)
+        with pytest.raises(ValueError, match=f"at least {count} admissible"):
+            check_type_count(p, 2, R)

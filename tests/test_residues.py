@@ -264,3 +264,23 @@ def test_wz_counts_stay_reference_only():
     crosscheck = ast.parse((package / "crosscheck.py").read_text())
     assert {node.name for node in crosscheck.body
             if isinstance(node, ast.FunctionDef)} >= set(REFERENCE_ONLY)
+
+
+COUNT_INPUTS = ("binomial", "multichoose", "_unit_sign", "marking_count")
+
+
+def test_values_is_the_one_builder_of_count_inputs():
+    # counting._values builds every input of the count core, for an int p
+    # and over Q[p]: no production module defines a _choose of its own, and
+    # tables calls none of the functions that derive those inputs
+    package = Path(topotype.__file__).parent
+    production = [path for path in sorted(package.glob("*.py"))
+                  if path.name not in ("__init__.py", "crosscheck.py")]
+    assert len(production) >= 6
+    assert not [path.name for path in production for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "_choose"]
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(ast.parse((package / "tables.py").read_text()))
+              if isinstance(node, ast.Call)}
+    assert "_values" in called
+    assert not called & set(COUNT_INPUTS)
