@@ -33,7 +33,8 @@ from typing import NamedTuple
 from .counting import _as_parts, _unit_sign, count_types_rank2
 from .exact import RationalPolynomial, binomial, exact_div, is_prime, multichoose
 from .oracle import DEFAULT_MULTISET_LIMIT, GuardExceeded
-from .partitions import ActionParams, PartitionType, check_part_count, check_prime, check_rank
+from .partitions import (ActionParams, PartitionType, check_integer, check_part_count, check_prime,
+                         check_rank)
 from .tables import (PolynomialFitError, StratifiedPolynomial, _primes_in_class, default_modulus,
                      fit_floor)
 
@@ -60,6 +61,7 @@ class Distribution(NamedTuple):
 
 
 def _check_odd_prime(p: int) -> None:
+    check_integer("p", p)
     if p < 3 or not is_prime(p):
         raise ValueError(f"p = {p}: need an odd prime")
 
@@ -67,6 +69,7 @@ def _check_odd_prime(p: int) -> None:
 def row_counts(P: int, p: int) -> RowCounts:
     """e_P = binomial(P+p-1, P) rows; b_P = binomial(P+p-2, P) with column 0
     forced to zero."""
+    check_integer("p", p)
     return RowCounts(binomial(P + p - 1, P), binomial(P + p - 2, P))
 
 
@@ -166,6 +169,7 @@ def distribution_bruteforce(parts, weights, p: int, zero_first_column: bool = Fa
     """
     import numpy as np
 
+    check_integer("p", p)
     parts = tuple(parts)
     weights = tuple(weights)
     if len(weights) != len(parts):
@@ -205,6 +209,7 @@ def card_A_shortcut(partition, p: int) -> int:
     """Product shortcut: |A| = (prod b_{P_i}) / p^2, valid whenever at least
     two parts are not congruent to 0 or 1 mod p (two independently
     equidistributed blocks make both row constraints uniform)."""
+    check_integer("p", p)
     parts = _as_parts(partition)
     if sum(1 for P in parts if P % p not in (0, 1)) < 2:
         raise ValueError("shortcut needs two parts not congruent to 0, 1 mod p")
@@ -257,6 +262,7 @@ def count_types_klein(R: int) -> int:
     """Total Klein 4-group (p=2, rank 2) types with R branch points:
     partitions of R into three parts of equal parity plus partitions into
     two even parts."""
+    check_integer("R", R)
     if R < 3:
         raise ValueError("need R >= 3")
     three = 0

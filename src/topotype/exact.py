@@ -74,11 +74,6 @@ def divisors_greater_than_one(d: int) -> list[int]:
     return [x for x in small + large[::-1] if x > 1]
 
 
-# Below this, trial division (at most 500 odd divisors) beats Miller-Rabin's
-# 13 modular powers: 1.7 us against 10.5 us at n = 4283, the largest prime
-# ``table``'s search reaches, but 31.7 us against 17.0 us at n = 10^6 + 3
-# (2-core Xeon, Python 3.11).
-MILLER_RABIN_FROM = 10**6
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The least strong pseudoprime to every base in _BASES (Sorenson and
 # Webster, 2015): below it, Miller-Rabin with those bases is exact.
@@ -86,26 +81,21 @@ _BASES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test: trial division below ``MILLER_RABIN_FROM``, then
-    Miller-Rabin with the prime bases up to 41, exact below ``_BASES_EXACT_BELOW``.
-    From there a witness still proves n composite, but a pass raises ValueError."""
-    if n >= MILLER_RABIN_FROM:
-        if (probable := _strong_probable_prime(n)) and n >= _BASES_EXACT_BELOW:
-            raise ValueError(f"cannot decide whether {n} is prime: it passes the strong test to "
-                             f"every prime base up to 41, exact only below {_BASES_EXACT_BELOW}")
-        return probable
+    """Exact primality test: division by the prime bases up to 41 (an n
+    below 43^2 with no such factor is prime), then Miller-Rabin with those
+    bases, exact below ``_BASES_EXACT_BELOW``.  From there a witness still
+    proves n composite, but a pass raises ValueError."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    q = 3
-    while q * q <= n:
+    for q in _BASES:
         if n % q == 0:
-            return False
-        q += 2
-    return True
+            return n == q
+    if n < 43 * 43:
+        return True
+    if (probable := _strong_probable_prime(n)) and n >= _BASES_EXACT_BELOW:
+        raise ValueError(f"cannot decide whether {n} is prime: it passes the strong test to "
+                         f"every prime base up to 41, exact only below {_BASES_EXACT_BELOW}")
+    return probable
 
 
 def _strong_probable_prime(n: int) -> bool:

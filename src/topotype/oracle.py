@@ -2,8 +2,11 @@
 
 Everything here counts by listing actual objects: generating column
 multisets over F_p^k with their orbits under the full automorphism group
-GL_k(F_p).  Nothing is shared with the formula modules beyond basic
-binomials, so agreement between the two routes is meaningful evidence.
+GL_k(F_p).  Nothing is shared with the formula modules beyond
+``multichoose`` (for the guard's estimate), the ``PartitionType`` value
+and ``partitions``' input checks (``ActionParams``, ``check_rank``, and
+``check_prime``, which runs ``exact.is_prime``): no count passes through
+them, so agreement between the two routes is meaningful evidence.
 
 Vectors are numbered, never listed: in the lexicographic order of the
 nonzero vectors of F_p^k, vector i (from 0) is numbered v = i + 1 =

@@ -11,7 +11,7 @@ the part count.
 
 from __future__ import annotations
 
-from .exact import binomial, is_prime
+from .exact import RationalPolynomial, binomial, is_prime
 
 
 class AdmissibilityError(ValueError):
@@ -84,20 +84,30 @@ class ActionParams:
     def __init__(self, p: int, k: int, R: int):
         check_prime(p)
         check_rank(k)
+        check_integer("R", R)
         if R < 3:
             raise ValueError(f"R = {R}: need R >= 3")
         self.p, self.k, self.R = p, k, R
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``value`` unless it is an int: a float or a
+    string would pass a comparison, or fail later as a TypeError."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} = {value!r} is not an integer")
+
+
 def check_prime(p: int) -> None:
-    """Raise ValueError unless p is prime.  ``ActionParams`` runs it first;
-    entries that take p without a full (p, k, R) call it directly."""
+    """Raise ValueError unless p is an int and prime.  ``ActionParams`` runs
+    it first; entries that take p without a full (p, k, R) call it directly."""
+    check_integer("p", p)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime: need an odd prime or 2")
 
 
 def check_rank(k: int) -> None:
-    """Raise ValueError unless k is a supported rank, 1 or 2."""
+    """Raise ValueError unless k is a supported rank, the int 1 or 2."""
+    check_integer("k", k)
     if k not in (1, 2):
         raise ValueError(f"k = {k}: only ranks 1 and 2 are supported")
 
@@ -107,6 +117,7 @@ def check_part_count(n: int, p: int, k: int = 2) -> None:
     cyclic subgroups of Z_p^k: k <= n <= (p^k - 1)/(p - 1), at least one
     part per generator and at most one per subgroup; k in (1, 2), p >= 2 (no primality test)."""
     check_rank(k)
+    check_integer("p", p)
     if p < 2:
         raise ValueError(f"p = {p} is not prime: need an odd prime or 2")
     if n < k:
@@ -213,10 +224,10 @@ def check_admissible(partition: PartitionType, p: int, k: int) -> None:
 def marking_count(p, n: int, k: int = 2):
     """Number of ways to mark the n parts of a rank-k type with distinct
     cyclic subgroups, after normalizing three of them: binomial(p-2, n-3),
-    taken as 1 for n <= 3 so all part counts share one code path.  An int p
-    is checked with n first; ``counting._values`` also runs it with p the
-    variable of a ``RationalPolynomial``, unchecked."""
-    if isinstance(p, int):
+    taken as 1 for n <= 3 so all part counts share one code path.  A p that
+    is not a ``RationalPolynomial`` is checked with n first;
+    ``counting._values`` also runs it with p the variable of one, unchecked."""
+    if not isinstance(p, RationalPolynomial):
         check_part_count(n, p, k)
     return binomial(p - 2, max(0, n - 3))
 

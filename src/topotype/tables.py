@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .counting import _count, _values, count_types_rank2
 from .exact import RationalPolynomial, is_prime
-from .partitions import PartitionType, admissible_partitions
+from .partitions import PartitionType, admissible_partitions, check_integer
 
 
 class PolynomialFitError(ValueError):
@@ -109,6 +109,7 @@ def table_rows(R: int) -> list:
     """Rank-2 partition rows of the R-section of the table: the partitions
     admissible for every p >= R - 1 (there n <= p + 1 never binds), in
     (part count, ascending lex) order, listed at the least such prime (or 5)."""
+    check_integer("R", R)  # before R - 1 seeds the prime search
     return admissible_partitions(_primes_in_class(0, 1, 1, R - 1)[0], 2, R)
 
 
@@ -128,8 +129,8 @@ def build_table(R: int, primes=None) -> list:
     raises ``PolynomialFitError`` naming it, whether or not a row shows it."""
     supplied = sorted(set(primes or ()))
     for q in supplied:
-        if q == 2 or not is_prime(q):
-            raise PolynomialFitError(f"supplied value {q} is not an odd prime")
+        if not isinstance(q, int) or q == 2 or not is_prime(q):
+            raise PolynomialFitError(f"supplied value {q!r} is not an odd prime")
     rows = []
     for part in table_rows(R):
         mod = default_modulus(part)

@@ -16,7 +16,8 @@ from topotype.partitions import (
     parse_partition,
     partition_tokens,
 )
-from topotype import partitions
+import topotype
+from topotype import oracle, partitions
 
 
 def test_partition_type_canonicalizes_descending():
@@ -284,6 +285,67 @@ def test_bad_p_and_k_are_named_not_divided_by(call, message):
     # p = 1 once divided by p - 1 = 0, and k = 3 listed a rank-3 type
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_NOT_INTEGERS = (7.0, 7.5, "7")
+# every public entry that takes p, k or R, with that argument left open;
+# each names it through partitions.check_integer
+_ENTRIES = {
+    "check_prime": ("p", partitions.check_prime),
+    "check_rank": ("k", partitions.check_rank),
+    "ActionParams-p": ("p", lambda v: ActionParams(v, 2, 5)),
+    "ActionParams-k": ("k", lambda v: ActionParams(5, v, 5)),
+    "ActionParams-R": ("R", lambda v: ActionParams(5, 2, v)),
+    "check_part_count": ("p", lambda v: check_part_count(3, v)),
+    "check_admissible": ("p", lambda v: check_admissible(PartitionType((2, 2, 2)), v, 2)),
+    "admissible_partitions": ("R", lambda v: admissible_partitions(5, 2, v)),
+    "marking_count-p": ("p", lambda v: marking_count(v, 5)),
+    "marking_count-k": ("k", lambda v: marking_count(7, 5, v)),
+    "card_A": ("p", lambda v: topotype.card_A((2, 2), v)),
+    "count_types_rank2": ("p", lambda v: topotype.count_types_rank2((2, 2), v)),
+    "count_types_rank1-R": ("R", lambda v: topotype.count_types_rank1(v, 5)),
+    "count_types_rank1-p": ("p", lambda v: topotype.count_types_rank1(5, v)),
+    "total_types-p": ("p", lambda v: topotype.total_types(v, 2, 4)),
+    "total_types-k": ("k", lambda v: topotype.total_types(7, v, 4)),
+    "total_types-R": ("R", lambda v: topotype.total_types(7, 2, v)),
+    "count_orbits-p": ("p", lambda v: topotype.count_orbits(v, 2, 4)),
+    "count_orbits-k": ("k", lambda v: topotype.count_orbits(5, v, 4)),
+    "count_orbits-R": ("R", lambda v: topotype.count_orbits(5, 2, v)),
+    "count_orbits_many": ("p", lambda v: oracle.count_orbits_many([v], 2, [4])),
+    "canonical_form-p": ("p", lambda v: oracle.canonical_form([(1, 0), (0, 1), (4, 4)], v, 2)),
+    "canonical_form-k": ("k", lambda v: oracle.canonical_form([(1, 0), (0, 1), (4, 4)], 5, v)),
+    "build_table": ("R", topotype.build_table),
+    "row_counts": ("p", lambda v: topotype.row_counts(2, v)),
+    "part_wz": ("p", lambda v: topotype.part_wz(2, v)),
+    "block_wz": ("p", lambda v: topotype.block_wz((2, 2), v)),
+    "full_distribution": ("p", lambda v: topotype.full_distribution((2, 2), (1, 1), v)),
+    "distribution_bruteforce": ("p", lambda v: topotype.distribution_bruteforce((2,), (1,), v)),
+    "card_A_base2": ("p", lambda v: topotype.card_A_base2(2, 2, v)),
+    "card_A_base3": ("p", lambda v: topotype.card_A_base3(2, 2, 2, v)),
+    "card_A_shortcut": ("p", lambda v: topotype.card_A_shortcut((2, 2), v)),
+    "card_A_unitary": ("p", lambda v: topotype.card_A_unitary(4, v)),
+    "count_types_klein": ("R", topotype.count_types_klein),
+    "enumerate_generating_sets": ("p", lambda v: list(topotype.enumerate_generating_sets(v, 2, 4))),
+    "classify_partition": ("p", lambda v: topotype.classify_partition([(1, 0), (0, 1)], v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_a_value_that_is_not_an_int_is_named(entry):
+    # 7.0 and 7.5 once passed check_prime, and a count then ended in a bare
+    # TypeError ('float' object cannot be interpreted as an integer)
+    name, call = _ENTRIES[entry]
+    for value in _NOT_INTEGERS:
+        message = f"^{name} = {re.escape(repr(value))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS)
+def test_build_table_names_a_supplied_value_that_is_not_an_int(value):
+    with pytest.raises(topotype.PolynomialFitError,
+                       match=f"^supplied value {re.escape(repr(value))} is not an odd prime$"):
+        topotype.build_table(5, [value])
 
 
 def test_the_part_count_check_tests_no_primality(monkeypatch):
