@@ -61,8 +61,8 @@ class Distribution(NamedTuple):
 
 
 def _check_odd_prime(p: int) -> None:
-    check_integer("p", p)
-    if p < 3 or not is_prime(p):
+    check_prime(p)
+    if p == 2:
         raise ValueError(f"p = {p}: need an odd prime")
 
 

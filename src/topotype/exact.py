@@ -81,17 +81,12 @@ _BASES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality test: division by the prime bases up to 41 (an n
-    below 43^2 with no such factor is prime), then Miller-Rabin with those
-    bases, exact below ``_BASES_EXACT_BELOW``.  From there a witness still
-    proves n composite, but a pass raises ValueError."""
-    if n < 2:
-        return False
-    for q in _BASES:
-        if n % q == 0:
-            return n == q
-    if n < 43 * 43:
-        return True
+    """Exact primality test: an n up to 41 is prime when it is one of the
+    prime bases, and a larger n takes Miller-Rabin with those bases, exact
+    below ``_BASES_EXACT_BELOW``.  From there a witness still proves n
+    composite, but a pass raises ValueError."""
+    if n <= 41:
+        return n in _BASES
     if (probable := _strong_probable_prime(n)) and n >= _BASES_EXACT_BELOW:
         raise ValueError(f"cannot decide whether {n} is prime: it passes the strong test to "
                          f"every prime base up to 41, exact only below {_BASES_EXACT_BELOW}")

@@ -68,12 +68,11 @@ class PartitionType:
 
 
 def integer_parts(parts) -> tuple:
-    """``parts`` as ints; raises ValueError naming a part that ``int`` would truncate."""
+    """``parts`` as a tuple; raises ValueError naming a part that is not an int."""
     parts = tuple(parts)
     for x in parts:
-        if int(x) != x:
-            raise ValueError(f"part {x!r} is not an integer")
-    return tuple(map(int, parts))
+        check_integer("part", x)
+    return parts
 
 
 class ActionParams:
@@ -91,9 +90,10 @@ class ActionParams:
 
 
 def check_integer(name: str, value) -> None:
-    """Raise ValueError naming ``value`` unless it is an int: a float or a
-    string would pass a comparison, or fail later as a TypeError."""
-    if not isinstance(value, int):
+    """Raise ValueError naming ``value`` unless it is an int (a bool is not):
+    a float or a string would pass a comparison, or fail later as a
+    TypeError.  The one rule for p, k, R and the parts of a partition."""
+    if type(value) is not int:
         raise ValueError(f"{name} = {value!r} is not an integer")
 
 

@@ -127,10 +127,11 @@ def build_table(R: int, primes=None) -> list:
     agree with its branch: a mismatch raises ``PolynomialFitError`` naming
     the row and the prime.  A supplied value that is not an odd prime
     raises ``PolynomialFitError`` naming it, whether or not a row shows it."""
-    supplied = sorted(set(primes or ()))
-    for q in supplied:
-        if not isinstance(q, int) or q == 2 or not is_prime(q):
+    supplied = tuple(primes or ())
+    for q in supplied:  # before set() would merge 7.0 into 7, or sorted() fail on a str
+        if type(q) is not int or q == 2 or not is_prime(q):
             raise PolynomialFitError(f"supplied value {q!r} is not an odd prime")
+    supplied = sorted(set(supplied))
     rows = []
     for part in table_rows(R):
         mod = default_modulus(part)

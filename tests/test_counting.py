@@ -391,7 +391,7 @@ def test_total_types_rejects_bad_rank(k):
 ])
 def test_a_part_that_is_not_an_integer_is_named(call, bad):
     # int() truncation once counted (2.9, 1.5, 1.2) as {2,1,1}
-    with pytest.raises(ValueError, match=f"part {bad} is not an integer"):
+    with pytest.raises(ValueError, match=f"part = {bad} is not an integer"):
         call()
 
 

@@ -82,8 +82,8 @@ def test_is_prime():
         assert is_prime(n) == (n in primes)
     for n in range(2 * 10**5):
         assert is_prime(n) == _trial_division(n), n
-    # both sides of 43^2, below which division by the bases decides n:
-    # 1763 = 41*43, 1847, 1849 = 43^2 and 2021 = 43*47
+    # composites whose least factor is 41 or 43, the primes either side of
+    # the largest base: 1763 = 41*43, 1849 = 43^2 and 2021 = 43*47; and 1847
     for n in range(1700, 2100):
         assert is_prime(n) == _trial_division(n), n
     for n in range(10**6 - 2000, 10**6 + 2000):
@@ -91,8 +91,8 @@ def test_is_prime():
 
 
 def test_strong_probable_prime_test_agrees_with_trial_division():
-    # the Miller-Rabin test alone, also on the inputs that is_prime decides by
-    # division (a factor up to 41, or n < 43^2)
+    # the Miller-Rabin test alone, from the first n above the bases: a base
+    # that divides n is a witness, so no division by the bases is needed
     for n in range(43, 2 * 10**5):
         assert exact._strong_probable_prime(n) == _trial_division(n), n
 

@@ -261,12 +261,13 @@ def test_parse_partition():
         parse_partition("1,-2")
 
 
-@pytest.mark.parametrize("parts, bad", [((2.9, 1.5, 1), 2.9), ((2, 1.5, 1), 1.5), ((3, 2, 0.5), 0.5)])
+@pytest.mark.parametrize("parts, bad", [((2.9, 1.5, 1), 2.9), ((2, 1.5, 1), 1.5), ((3, 2, 0.5), 0.5),
+                                        ((2.0, 1, 1), 2.0), ((2, "1", 1), "1"), ((2, True, 1), True)])
 def test_partition_type_names_a_part_that_is_not_an_integer(parts, bad):
-    # int() would truncate 2.9 to 2 and give {2,1,1}
-    with pytest.raises(ValueError, match=f"^part {re.escape(repr(bad))} is not an integer$"):
+    # int() would truncate 2.9 to 2 and give {2,1,1}; a part follows the
+    # rule of p, k and R, so 2.0 is named too
+    with pytest.raises(ValueError, match=f"^part = {re.escape(repr(bad))} is not an integer$"):
         PartitionType(parts)
-    assert PartitionType((2.0, 1, 1)) == PartitionType((2, 1, 1))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -287,7 +288,7 @@ def test_bad_p_and_k_are_named_not_divided_by(call, message):
         call()
 
 
-_NOT_INTEGERS = (7.0, 7.5, "7")
+_NOT_INTEGERS = (7.0, 7.5, "7", True)
 # every public entry that takes p, k or R, with that argument left open;
 # each names it through partitions.check_integer
 _ENTRIES = {
@@ -343,9 +344,12 @@ def test_a_value_that_is_not_an_int_is_named(entry):
 
 @pytest.mark.parametrize("value", _NOT_INTEGERS)
 def test_build_table_names_a_supplied_value_that_is_not_an_int(value):
-    with pytest.raises(topotype.PolynomialFitError,
-                       match=f"^supplied value {re.escape(repr(value))} is not an odd prime$"):
+    message = f"^supplied value {re.escape(repr(value))} is not an odd prime$"
+    with pytest.raises(topotype.PolynomialFitError, match=message):
         topotype.build_table(5, [value])
+    # beside the int 7: a set would merge 7.0 into it, and sorting cannot compare it with "7"
+    with pytest.raises(topotype.PolynomialFitError, match=message):
+        topotype.build_table(5, [7, value])
 
 
 def test_the_part_count_check_tests_no_primality(monkeypatch):
