@@ -6,30 +6,20 @@ past 64-bit ranges); exit codes are 0 (success), 1 (verification failure),
 """
 
 import argparse
-import importlib.util
 import sys
 
-
-def _lazy_module(name: str):
-    """The module ``name``, registered in ``sys.modules`` but run only when
-    one of its attributes is first read (``importlib.util.LazyLoader``)."""
-    if name not in sys.modules:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-        parent, _, child = name.rpartition(".")
-        setattr(sys.modules[parent], child, module)
-    return sys.modules[name]
-
-
 # Each command imports the modules it runs in its own function, so
-# ``--help`` and usage errors run none of them.  Only ``verify`` runs the
-# oracle, so its source loads on the first ``oracle.`` lookup there.  It is
-# registered, unrun, at import so that code looking it up in ``sys.modules``
-# after importing this module still finds it: ``perfbench``'s traced run does.
-oracle = _lazy_module(f"{__package__}.oracle")
+# ``--help`` and usage errors run none of them.  The oracle is also
+# registered here, unrun (``LazyLoader``: its source runs on the first
+# attribute lookup), so that code looking it up in ``sys.modules`` after
+# importing this module still finds it: ``perfbench``'s traced run does.
+if f"{__package__}.oracle" not in sys.modules:
+    import importlib.util
+
+    _spec = importlib.util.find_spec(f"{__package__}.oracle")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = sys.modules[__package__].oracle = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
 
 
 def _int(token: str) -> int:
@@ -40,7 +30,8 @@ def _int(token: str) -> int:
 
 
 def _parse_ints(text: str) -> list:
-    return [_int(tok) for tok in text.split(",") if tok.strip()]
+    """The comma list's integers, each once, in the order first given."""
+    return list(dict.fromkeys(_int(tok) for tok in text.split(",") if tok.strip()))
 
 
 def _parse_range(text: str) -> list:
@@ -176,6 +167,7 @@ def _verify_line(row: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
     from .counting import total_types
 
     k = args.k

@@ -37,8 +37,9 @@ def _falling_over_factorial(n: RationalPolynomial, k: int) -> RationalPolynomial
 
 def multichoose(N: int, M):
     """Number of N-element multisets drawn from an M-element set (M an int
-    or a ``RationalPolynomial``)."""
-    return binomial(M + (N - 1), N)
+    or a ``RationalPolynomial``); N = 0 gives 1, the empty multiset, for
+    every M, as over Q[p]."""
+    return binomial(M + (N - 1), N) if N else 1
 
 
 def euler_phi(d: int) -> int:
@@ -95,9 +96,8 @@ def is_prime(n: int) -> bool:
 
 def _strong_probable_prime(n: int) -> bool:
     """Whether n is a strong probable prime to every base in _BASES; n must
-    exceed 41, the largest base."""
-    if n % 2 == 0:
-        return False
+    exceed 41, the largest base.  Base 2 witnesses an even n: 2^(n-1) mod n
+    is even, so neither 1 nor n - 1, and with s = 0 no squaring follows."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -229,6 +229,16 @@ def test_verify_reaches_p11(capsys):
     assert "PASS p=11 R=3 total: oracle=1 formula=1" in out
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_verify_checks_each_repeated_value_once(capsys, k):
+    # a repeated --p or --R value names a case already given: each distinct
+    # value is checked once, in the order first given, so the output and
+    # exit code are those of the list without repeats
+    for repeated, once in ((("5,5", "4,4"), ("5", "4")), (("5,3,5", "4,3,4"), ("5,3", "4,3"))):
+        got = run(capsys, "verify", "--k", k, "--p", repeated[0], "--R", repeated[1])
+        assert got == run(capsys, "verify", "--k", k, "--p", once[0], "--R", once[1])
+
+
 def test_verify_runs_rank1_past_the_old_encoding_bound(capsys):
     # (5^1 - 1)^40 > 2^62, yet the walk has at most 10,660 rows
     code, out, _ = run(capsys, "verify", "--p", "5", "--k", "1", "--R", "40")
@@ -250,9 +260,9 @@ def test_verify_bad_R_exits_with_reason(capsys):
 
 def test_cli_import_does_not_load_numpy():
     # importing cli loads only the package and cli: each command imports
-    # the modules it runs in its own function, and the oracle is registered
-    # unrun (cli._lazy_module), so none of its code has run; numpy is not
-    # imported at all
+    # the modules it runs in its own function, and cli registers the oracle
+    # unrun (importlib.util.LazyLoader), so none of its code has run; numpy
+    # is not imported at all
     src = str(Path(topotype.__file__).resolve().parents[1])
     probe = ("import sys, topotype.cli\n"
              "oracle = sys.modules['topotype.oracle']\n"

@@ -176,6 +176,12 @@ def test_count_types_klein_sequence():
     assert got == [1, 1, 1, 2, 2, 3, 3, 4]
 
 
+@pytest.mark.parametrize("R", [2, 1, 0, -3])
+def test_count_types_klein_needs_three_branch_points(R):
+    with pytest.raises(ValueError, match="need R >= 3"):
+        count_types_klein(R)
+
+
 def test_count_types_klein_matches_partitionwise_sum():
     for R in range(3, 15):
         partwise = sum(

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,18 @@ def test_multichoose_values():
     assert multichoose(7, 5) == 330
 
 
+def test_multichoose_of_nothing_is_the_empty_multiset():
+    # N = 0 counts the one empty multiset, even from an empty set, and the
+    # int value agrees with the Q[p] value at 0 on the whole grid
+    assert multichoose(0, 0) == 1
+    x = RationalPolynomial((0, 1))
+    for N in range(8):
+        for M in range(8):
+            over_q = multichoose(N, x + M)
+            at_zero = over_q(0) if isinstance(over_q, RationalPolynomial) else over_q
+            assert multichoose(N, M) == at_zero, (N, M)
+
+
 def test_multichoose_binomial_identity():
     for N in range(0, 41):
         for M in range(1, 41):
@@ -70,6 +83,13 @@ def test_divisors_greater_than_one():
     assert divisors_greater_than_one(1) == []
     assert divisors_greater_than_one(4) == [2, 4]
     assert divisors_greater_than_one(12) == [2, 3, 4, 6, 12]
+
+
+@pytest.mark.parametrize("function", [euler_phi, divisors_greater_than_one])
+@pytest.mark.parametrize("d", [0, -1, -12])
+def test_divisor_functions_reject_a_nonpositive_integer(function, d):
+    with pytest.raises(ValueError, match="positive integer"):
+        function(d)
 
 
 def _trial_division(n):
@@ -135,6 +155,12 @@ def _bounded_partitions(total, max_parts, max_size):
         return sum(rec(remaining - first, parts_left - 1, first)
                    for first in range(1, min(cap, remaining) + 1))
     return rec(total, max_parts, max_size)
+
+
+@pytest.mark.parametrize("m, n", [(-1, 0), (0, -1), (-2, 3), (3, -2)])
+def test_gaussian_binomial_rejects_a_negative_argument(m, n):
+    with pytest.raises(ValueError, match="nonnegative"):
+        gaussian_binomial(m, n)
 
 
 def test_gaussian_coefficients_count_bounded_partitions():
@@ -290,6 +316,28 @@ def test_polynomial_divmod_is_long_division(a, b):
     if r:
         with pytest.raises(ArithmeticError, match="inexact division"):
             exact_div(a, b)
+
+
+@pytest.mark.parametrize("other", [Fraction(1, 2), Fraction(3), 0.5, 2.0])
+def test_polynomial_takes_no_fraction_or_float_operand(other):
+    # ints are the only constants a polynomial takes: arithmetic with a
+    # Fraction or a float, on either side, ends in TypeError, and equality
+    # with one is False
+    poly = RationalPolynomial((1, 2))
+    assert (poly == other) is False and (other == poly) is False
+    for op in (operator.add, operator.sub, operator.mul, divmod):
+        with pytest.raises(TypeError):
+            op(poly, other)
+        with pytest.raises(TypeError):
+            op(other, poly)
+
+
+def test_polynomial_divmod_by_the_int_zero_raises():
+    poly = RationalPolynomial((1, 2))
+    with pytest.raises(ZeroDivisionError):
+        divmod(poly, 0)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(poly, 0)
 
 
 def test_polynomial_keeps_lowest_terms_and_fraction_coefficients():

@@ -130,6 +130,12 @@ def test_full_distribution_matches_bruteforce_spot():
                 assert dp.counts == brute.counts
 
 
+@pytest.mark.parametrize("weights", [(), (1,), (1, 1, 1)])
+def test_distribution_bruteforce_needs_one_weight_per_part(weights):
+    with pytest.raises(ValueError, match="need one weight per part"):
+        distribution_bruteforce((2, 1), weights, 5)
+
+
 def test_full_distribution_rejects_bad_weights():
     with pytest.raises(ValueError):
         full_distribution((2,), (0,), 5)
